@@ -14,8 +14,10 @@ import fnmatch
 import itertools
 import random
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import compactmodel as cm
@@ -1124,51 +1126,65 @@ CHECKS: Tuple[Tuple[str, CheckFn], ...] = (
 
 @dataclass
 class CheckReport:
-    entries: List[Tuple[str, str, str, int]] = field(default_factory=list)
+    """Per check: (id, status, detail, elapsed_ms, cpu_ms)."""
+
+    entries: List[Tuple[str, str, str, int, int]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return all(status == "pass" for _, status, _, _ in self.entries)
+        return all(status == "pass" for _, status, _, _, _ in self.entries)
 
     def to_json(self) -> dict:
         return {
             "overall": "pass" if self.ok else "fail",
             "checks": [
-                {"id": cid, "status": status, "detail": detail, "elapsed_ms": ms}
-                for cid, status, detail, ms in self.entries
+                {"id": cid, "status": status, "detail": detail, "elapsed_ms": ms, "cpu_ms": cpu}
+                for cid, status, detail, ms, cpu in self.entries
             ],
         }
 
 
-def run_checks(filter_glob: str = "*", seed: int = 0,
-               workers: int = 4) -> CheckReport:
-    """Run all checks whose id matches the glob, each with its own seeded RNG."""
-    from concurrent.futures import ThreadPoolExecutor
+_PACKAGE_DIR = Path(__file__).resolve().parent
+_HELPER_CODES = (_fail.__code__, _require.__code__)
 
-    selected = [(cid, fn) for cid, fn in CHECKS if fnmatch.fnmatch(cid, filter_glob)]
 
-    def run_one(item):
-        cid, fn = item
+def _raise_site(exc: BaseException) -> Optional[str]:
+    """``g2models/<file>:<line>`` of the innermost package frame that raised.
+
+    The ``_fail``/``_require`` helpers are skipped, so a failed requirement
+    points at the line of the check that stated it.
+    """
+    site = None
+    for frame, line in traceback.walk_tb(exc.__traceback__):
+        code = frame.f_code
+        path = Path(code.co_filename).resolve()
+        if path.parent == _PACKAGE_DIR and code not in _HELPER_CODES:
+            site = f"{_PACKAGE_DIR.name}/{path.name}:{line}"
+    return site
+
+
+def run_checks(filter_glob: str = "*", seed: int = 0) -> CheckReport:
+    """Run all checks whose id matches the glob, one after another.
+
+    Each check gets its own RNG seeded with ``f"{seed}:{id}"``.  A failed
+    check's detail ends with the place it raised.
+    """
+    report = CheckReport()
+    for cid, fn in CHECKS:
+        if not fnmatch.fnmatch(cid, filter_glob):
+            continue
         rng = random.Random(f"{seed}:{cid}")
-        start = time.monotonic()
+        start, cpu_start = time.monotonic(), time.thread_time()
         try:
             detail = fn(rng)
             status = "pass"
-        except CheckFailure as exc:
-            detail = str(exc)
-            status = "fail"
         except Exception as exc:  # noqa: BLE001 - report, do not crash the suite
-            detail = f"{type(exc).__name__}: {exc}"
+            detail = str(exc) if isinstance(exc, CheckFailure) else f"{type(exc).__name__}: {exc}"
+            site = _raise_site(exc)
+            if site:
+                detail = f"{detail} (raised at {site})"
             status = "fail"
         ms = int((time.monotonic() - start) * 1000)
-        return cid, status, detail, ms
-
-    report = CheckReport()
-    if workers > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for entry in pool.map(run_one, selected):
-                report.entries.append(entry)
-    else:
-        for item in selected:
-            report.entries.append(run_one(item))
+        cpu = int((time.thread_time() - cpu_start) * 1000)
+        report.entries.append((cid, status, detail, ms, cpu))
     return report

@@ -55,6 +55,9 @@ def cmd_classify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot parse 3-form file: {exc}", file=sys.stderr)
         return 2
+    if om.degree != 3:
+        print(f"error: classify needs a 3-form, got degree {om.degree}", file=sys.stderr)
+        return 2
     tag = fo.classify_orbit(om)
     payload = {"orbit": tag.value, "signature": None}
     if tag is not fo.OrbitTag.NOT_GENERIC:
@@ -115,8 +118,8 @@ def _readable_products(table) -> dict:
 
 def cmd_check(args) -> int:
     report = ck.run_checks(filter_glob=args.filter, seed=args.seed)
-    for cid, status, detail, ms in report.entries:
-        line = f"[{status.upper():4}] {cid:32} {ms:6d} ms  {detail}"
+    for cid, status, detail, ms, cpu in report.entries:
+        line = f"[{status.upper():4}] {cid:32} {ms:6d} ms {cpu:6d} cpu ms  {detail}"
         print(line)
     summary = "all checks passed" if report.ok else "CHECK FAILURES PRESENT"
     print(f"-- {summary} ({len(report.entries)} run)")

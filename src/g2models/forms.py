@@ -170,12 +170,19 @@ class KForm:
 
     @staticmethod
     def from_json(d: dict) -> "KForm":
+        """Parse the file format; malformed input raises ValueError, KeyError or TypeError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object, got {type(d).__name__}")
         if d.get("dim", 7) != 7:
             raise ValueError("only dimension 7 is supported")
         coeffs = {}
         for term in d["terms"]:
             idx = tuple(term["idx"])
-            coeffs[idx] = coeffs.get(idx, Q0) + parse_q(term["c"])
+            try:
+                c = parse_q(term["c"])
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in coefficient {term['c']!r}") from None
+            coeffs[idx] = coeffs.get(idx, Q0) + c
         return KForm(d["degree"], coeffs)
 
 

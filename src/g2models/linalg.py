@@ -1,19 +1,41 @@
 """Dense exact linear algebra over Q, Q(i), or BigFloat entries.
 
 Matrices are lists of lists; vectors are tuples.  Everything is small (at most
-a few hundred rows), so plain fraction Gaussian elimination is the whole story.
-Equality of exact matrices is entrywise.  For BigFloat matrices a pivot
-tolerance must be supplied and partial pivoting kicks in; exact fields use the
-first nonzero pivot so reduced echelon bases are reproducible.
+a few hundred rows).  Over Q the kernels compute in integers: each row (for a
+product, each column of the right factor too) is scaled by the LCM of its
+denominators, the work is done in ``int``, and one Fraction is built per
+output entry.  Elimination is fraction-free Gauss-Jordan after Bareiss
+("Sylvester's identity and multistep integer-preserving Gaussian
+elimination", Math. Comp. 22, 1968): every update divides exactly by the
+previous pivot, so entries stay minors of the scaled input, and each pivot row
+is divided by its own pivot once, at the end.
+
+Type rule for Q inputs: no float is ever produced.  ``mat_mul`` and
+``mat_vec`` of all-``int`` inputs return ints; once any entry is a Fraction
+every output entry is a Fraction, and ``rref``, ``nullspace``, ``solve``,
+``inverse`` and ``det`` always return Fractions.
+
+Matrices with Gaussian-rational or BigFloat entries, or calls with a pivot
+tolerance, take the generic field path: Gauss-Jordan elimination that divides
+at every pivot.  Equality of exact matrices is entrywise.  For BigFloat
+matrices a pivot tolerance must be supplied and partial pivoting kicks in;
+exact fields use the first nonzero pivot so reduced echelon bases are
+reproducible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 Row = List
 Mat = List[Row]
+
+Q0 = Fraction(0)
+_INT = {int}
+_RATIONAL = {int, Fraction}
 
 
 class DegenerateForm(Exception):
@@ -45,17 +67,58 @@ def _promote(m: Sequence[Sequence]) -> Mat:
     return [[Fraction(x) if type(x) is int else x for x in row] for row in m]
 
 
+def _scaled_rows(m: Sequence[Sequence]) -> Optional[Tuple[List[Sequence[int]], List[int], bool]]:
+    """Rows of a Q matrix over integers: (rows, scales, has_fraction).
+
+    ``m[i] == rows[i] / scales[i]`` entrywise, each scale being the LCM of its
+    row's denominators.  None when an entry is neither an int nor a Fraction;
+    such matrices take the generic field path.  All-int rows are returned as
+    they are, so callers must replace rows, never mutate them.
+    """
+    rows: List[Sequence[int]] = []
+    scales: List[int] = []
+    has_fraction = False
+    for row in m:
+        kinds = set(map(type, row))
+        if kinds <= _INT:
+            rows.append(row)
+            scales.append(1)
+            continue
+        if not kinds <= _RATIONAL:
+            return None
+        has_fraction = True
+        d = lcm(*[x.denominator for x in row])
+        if d == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+        scales.append(d)
+    return rows, scales, has_fraction
+
+
 def transpose(m: Sequence[Sequence]) -> Mat:
     return [list(col) for col in zip(*m)]
 
 
+def _products(a: Sequence[Sequence], bt: Sequence[Sequence]) -> Mat:
+    """Entry (i, j) is the dot product of row i of ``a`` with ``bt[j]``."""
+    qa = _scaled_rows(a)
+    qb = _scaled_rows(bt) if qa else None
+    if qb is None:
+        return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    (ia, da, fa), (ib, db, fb) = qa, qb
+    if not (fa or fb):
+        return [[sum(map(mul, row, col)) for col in ib] for row in ia]
+    return [[Fraction(sum(map(mul, row, col)), s * t) for col, t in zip(ib, db)]
+            for row, s in zip(ia, da)]
+
+
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Mat:
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    return _products(a, list(zip(*b)))
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(row[0] for row in _products(m, [v]))
 
 
 def mat_add(a, b) -> Mat:
@@ -82,13 +145,69 @@ def _default_is_zero(x) -> bool:
     return not x
 
 
-def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form.  Returns (R, pivot column list).
+def _fraction_free(a: List[Sequence[int]]) -> Tuple[List[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
+
+    The pivot of each column is its first nonzero entry, rows in order, as in
+    ``rref``.  At pivot p every other row with entry f in the pivot column
+    becomes (p * row - f * pivot_row) / prev, prev being the previous pivot;
+    Sylvester's identity makes the division exact.  A row with f == 0 would
+    only be scaled by p / prev, so that scaling is deferred: ``level[i]`` is
+    the pivot at which row i was last brought up to date, and the row is
+    rescaled by prev / level[i] (exact for the same reason) just before it is
+    next used.  At the end each pivot row is right up to a nonzero factor and
+    the rows below the rank are zero.
+
+    Returns (pivot columns, sign of the row permutation, last pivot).  For a
+    nonsingular square matrix the last pivot times the sign is the
+    determinant.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    level = [1] * rows
+    prev = 1
+    sign = 1
+    piv_cols: List[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        best = next((i for i in range(r, rows) if a[i][c]), None)
+        if best is None:
+            continue
+        if best != r:
+            a[r], a[best] = a[best], a[r]
+            level[r], level[best] = level[best], level[r]
+            sign = -sign
+        pr = a[r]
+        if level[r] != prev:
+            s = level[r]
+            pr = a[r] = [x * prev // s for x in pr]
+        p = pr[c]
+        for i in range(rows):
+            row = a[i]
+            if i == r or not row[c]:
+                continue
+            s = level[i]
+            if s != prev:
+                row = [x * prev // s for x in row]
+            f = row[c]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, pr)]
+            level[i] = p
+        level[r] = p
+        prev = p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols, sign, prev
+
+
+def _field_eliminate(a: Mat, tol=None) -> Tuple[List[int], int, object]:
+    """Gauss-Jordan elimination over a field, in place: the generic path.
 
     With ``tol`` set (BigFloat matrices), entries of magnitude <= tol are
     treated as zero and rows are pivoted by largest magnitude for stability.
+    Returns (pivot columns, sign of the row permutation, product of pivots).
     """
-    a = _promote(m)
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if tol is None:
@@ -96,6 +215,8 @@ def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
     else:
         is_zero = lambda x: abs(x) <= tol  # noqa: E731
     piv_cols: List[int] = []
+    sign = 1
+    pivots = Fraction(1)
     r = 0
     for c in range(cols):
         if r == rows:
@@ -113,8 +234,11 @@ def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
                 best = i
         if best is None:
             continue
-        a[r], a[best] = a[best], a[r]
+        if best != r:
+            a[r], a[best] = a[best], a[r]
+            sign = -sign
         p = a[r][c]
+        pivots = pivots * p
         a[r] = [x / p for x in a[r]]
         for i in range(rows):
             if i != r and not is_zero(a[i][c]):
@@ -122,7 +246,30 @@ def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         piv_cols.append(c)
         r += 1
-    return a, piv_cols
+    return piv_cols, sign, pivots
+
+
+def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
+    """Reduced row echelon form.  Returns (R, pivot column list).
+
+    With ``tol`` set (BigFloat matrices), entries of magnitude <= tol are
+    treated as zero and rows are pivoted by largest magnitude for stability.
+    """
+    q = _scaled_rows(m) if tol is None else None
+    if q is None:
+        a = _promote(m)
+        return a, _field_eliminate(a, tol)[0]
+    a = q[0]
+    piv_cols = _fraction_free(a)[0]
+    cols = len(a[0]) if a else 0
+    out: Mat = []
+    for t, row in enumerate(a):
+        if t < len(piv_cols):
+            p = row[piv_cols[t]]
+            out.append([Fraction(x, p) if x else Q0 for x in row])
+        else:
+            out.append([Q0] * cols)
+    return out, piv_cols
 
 
 def rank(m: Sequence[Sequence], tol=None) -> int:
@@ -169,7 +316,7 @@ def solve(m: Sequence[Sequence], b: Sequence, tol=None) -> Optional[tuple]:
 
 def inverse(m: Sequence[Sequence], tol=None) -> Mat:
     n = len(m)
-    aug = [list(m[i]) + list(identity(n)[i]) for i in range(n)]
+    aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     r, piv = rref(aug, tol)
     if piv != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
@@ -177,29 +324,17 @@ def inverse(m: Sequence[Sequence], tol=None) -> Mat:
 
 
 def det(m: Sequence[Sequence]):
-    """Determinant by exact Gaussian elimination."""
-    a = _promote(m)
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        p = None
-        for i in range(c, n):
-            if a[i][c]:
-                p = i
-                break
-        if p is None:
-            return Fraction(0) * result
-        if p != c:
-            a[c], a[p] = a[p], a[c]
-            sign = -sign
-        result = result * a[c][c]
-        inv = a[c][c]
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    return sign * result
+    """Determinant by exact elimination: fraction-free over Q, generic otherwise."""
+    n = len(m)
+    q = _scaled_rows(m)
+    if q is None:
+        piv, sign, pivots = _field_eliminate(_promote(m))
+        return sign * pivots if len(piv) == n else Fraction(0) * pivots
+    a, scales, _ = q
+    piv, sign, last = _fraction_free(a)
+    if len(piv) < n:
+        return Q0
+    return Fraction(sign * last, prod(scales))
 
 
 def sym_diagonalize(m: Sequence[Sequence]) -> Tuple[Mat, List]:

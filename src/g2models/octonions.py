@@ -22,10 +22,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraTable
-from .linalg import nullspace
+from .linalg import _scaled_rows, nullspace
 
 Vec7 = Tuple[Fraction, ...]
 Q0 = Fraction(0)
@@ -96,6 +97,11 @@ class CrossProductSpace:
                                        for j in range(7)) for i in range(7))
         # octonion basis products over (1, e_1..e_7), derived from cross and n
         self._oct = self._build_oct_table()
+        # the same table over integers: every constant times _oct_den
+        self._oct_den = lcm(*(Fraction(v).denominator for row in self._oct
+                              for terms in row for _, v in terms))
+        self._oct_int = tuple(tuple(tuple((k, int(v * self._oct_den)) for k, v in terms)
+                                    for terms in row) for row in self._oct)
 
     def norm_b(self, u: Sequence, v: Sequence):
         """Polar form n(u, v) with n(u, u) = n(u)."""
@@ -167,19 +173,33 @@ class CrossProductSpace:
         return self.octonion(0, basis_vec(i - 1))
 
     def oct_mul_coeffs(self, x: Sequence, y: Sequence) -> Tuple[Fraction, ...]:
-        """Product in coefficient form over (1, e_1..e_7)."""
-        out = [0] * 8
-        for i, xi in enumerate(x):
-            if not xi:
+        """Product in coefficient form over (1, e_1..e_7).
+
+        Rational coefficients are multiplied as integers over one shared
+        denominator and every output entry is a Fraction; other coefficient
+        types go through the Fraction table as they are.
+        """
+        q = _scaled_rows((x, y))
+        if q is None:
+            return tuple(_table_product(self._oct, x, y))
+        (ix, iy), (dx, dy), _ = q
+        d = dx * dy * self._oct_den
+        return tuple(Fraction(v, d) for v in _table_product(self._oct_int, ix, iy))
+
+
+def _table_product(table, x: Sequence, y: Sequence) -> list:
+    out = [0] * 8
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = table[i]
+        for j, yj in enumerate(y):
+            if not yj:
                 continue
-            row = self._oct[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, cv in row[j]:
-                    out[k] += s * cv
-        return tuple(out)
+            s = xi * yj
+            for k, cv in row[j]:
+                out[k] += s * cv
+    return out
 
 
 def _split_norm() -> List[List[Fraction]]:

@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from g2models import checks as ck
 from g2models import cli
 from g2models import forms as fo
+from g2models import linalg as la
 
 
 def run_cli(*args):
@@ -83,6 +85,21 @@ def test_classify_parse_error_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("payload, reason", [
+    ({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": "1/0"}]}, "zero denominator"),
+    ([{"idx": [1, 2, 3], "c": "1"}], "expected a JSON object"),
+    ({"dim": 7, "degree": 2, "terms": [{"idx": [1, 2], "c": "1"}]}, "degree 2"),
+])
+def test_classify_malformed_form_exit_2(tmp_path, payload, reason):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(payload))
+    code, out, err = run_cli("classify", str(p))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
 def test_classify_precision_exhausted_exit_3(tmp_path, monkeypatch):
     p = tmp_path / "o0.json"
     p.write_text(json.dumps(fo.OMEGA0.to_json()))
@@ -127,6 +144,7 @@ def test_check_filter_and_report(tmp_path):
     assert "[PASS] rootsys.g2" in out
     report = json.loads(out_path.read_text())
     assert report["overall"] == "pass"
+    assert all(c["cpu_ms"] >= 0 for c in report["checks"])
     assert {c["id"] for c in report["checks"]} == {"rootsys.g2", "rootsys.axioms",
                                                    "rootsys.metric"}
 
@@ -140,8 +158,8 @@ def test_check_byte_stability():
 
 
 def test_run_checks_seed_reproducible():
-    r1 = ck.run_checks("octonion.moufang", seed=5, workers=1)
-    r2 = ck.run_checks("octonion.moufang", seed=5, workers=1)
+    r1 = ck.run_checks("octonion.moufang", seed=5)
+    r2 = ck.run_checks("octonion.moufang", seed=5)
     assert [e[:3] for e in r1.entries] == [e[:3] for e in r2.entries]
 
 
@@ -157,6 +175,29 @@ def test_check_failure_exit_code(monkeypatch):
         out = None
 
     assert cli.cmd_check(Args()) == 1
+
+
+def _line_of(fn, text: str) -> int:
+    lines, first = inspect.getsourcelines(fn)
+    return first + next(i for i, line in enumerate(lines) if text in line)
+
+
+def test_failed_check_reports_raise_site(monkeypatch):
+    def singular(rng):
+        la.inverse([[1, 2], [2, 4]])
+
+    monkeypatch.setattr(ck, "CHECKS", (("synthetic.singular", singular),
+                                       ("numerics.rank_nullity", ck.check_rank_nullity)))
+    monkeypatch.setattr(ck, "rank", lambda m: -1)
+    report = ck.run_checks()
+    (_, s1, d1, _, cpu1), (_, s2, d2, _, cpu2) = report.entries
+    assert s1 == s2 == "fail" and cpu1 >= 0 and cpu2 >= 0
+    inverse_line = _line_of(la.inverse, "raise SingularMatrix")
+    assert d1 == ("SingularMatrix: matrix is not invertible"
+                  f" (raised at g2models/linalg.py:{inverse_line})")
+    # a failed requirement points at the check's own line, not at _require
+    require_line = _line_of(ck.check_rank_nullity, '"rank-nullity violated"')
+    assert d2 == f"rank-nullity violated (raised at g2models/checks.py:{require_line})"
 
 
 def test_usage_error_exit_2():

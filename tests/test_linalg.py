@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from g2models import linalg as la
+from g2models import octonions as oc
 from g2models.bigfloat import BigFloat, real_cube_root, tolerance
 from g2models.scalars import GaussianRational as GR, fmt_q, parse_q
 from g2models.splitmodel import _l_of
@@ -142,3 +144,159 @@ def test_bigfloat_arithmetic_precision():
     y = (x * 3 - 1)
     assert abs(y) <= BigFloat.of(Q(1, 10 ** 70), 60)
     assert BigFloat.of(Q(9, 4)).sqrt() == BigFloat.of(Q(3, 2))
+
+
+# -- the integer kernels against sympy and plain sums of products ---------------
+
+q_ints = st.integers(-9, 9)
+q_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+# zeros are drawn often so that sparse rows, zero rows and zero columns occur
+ENTRIES = {
+    "int": st.one_of(st.just(0), q_ints),
+    "fraction": st.one_of(st.just(Q(0)), q_fracs),
+    "mixed": st.one_of(st.just(0), q_ints, q_fracs),
+}
+
+
+@st.composite
+def q_matrices(draw, max_rows=12, max_cols=14, square=False, kind=None):
+    """Q matrices of int, Fraction or mixed entries, often rank-deficient."""
+    kind = kind or draw(st.sampled_from(sorted(ENTRIES)))
+    rows = draw(st.integers(0, max_rows))
+    cols = rows if square else draw(st.integers(0, max_cols))
+    m = draw(st.lists(st.lists(ENTRIES[kind], min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    if rows >= 3 and draw(st.booleans()):
+        # a row that is a combination of two others
+        i, j, k = draw(st.permutations(range(rows)))[:3]
+        a, b = draw(ENTRIES[kind]), draw(ENTRIES[kind])
+        m[k] = [a * x + b * y for x, y in zip(m[i], m[j])]
+    if rows and cols and draw(st.booleans()):
+        j = draw(st.integers(0, cols - 1))
+        for row in m:
+            row[j] = 0 * row[j]
+    return m
+
+
+def _to_sympy(m) -> sympy.Matrix:
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in m])
+
+
+def _from_sympy(x) -> Q:
+    assert isinstance(x, sympy.Rational), x
+    return Q(int(x.p), int(x.q))
+
+
+def _plain_mat_mul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _has_fraction(*ms) -> bool:
+    return any(type(x) is Q for m in ms for row in m for x in row)
+
+
+def _assert_types(out, fraction: bool):
+    # the type rule: never a float; ints only for all-int inputs
+    for x in out:
+        assert type(x) is (Q if fraction else int), (x, type(x))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_matrices())
+def test_rref_matches_sympy(m):
+    r, piv = la.rref(m)
+    if not m:
+        assert (r, piv) == ([], [])
+        return
+    want, want_piv = _to_sympy(m).rref()
+    assert piv == list(want_piv)
+    assert [[_from_sympy(x) for x in row] for row in want.tolist()] == r
+    _assert_types([x for row in r for x in row], fraction=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_matrices())
+def test_rank_nullity_and_kernel(m):
+    cols = len(m[0]) if m else 0
+    ns = la.nullspace(m)
+    assert la.rank(m) + len(ns) == cols
+    for v in ns:
+        _assert_types(v, fraction=True)
+        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(q_matrices(max_rows=9, square=True))
+def test_det_and_inverse_match_sympy(m):
+    d = la.det(m)
+    assert type(d) is Q
+    assert d == (_from_sympy(_to_sympy(m).det()) if m else 1)
+    if d:
+        inv = la.inverse(m)
+        _assert_types([x for row in inv for x in row], fraction=True)
+        assert la.mat_mul(inv, m) == la.identity(len(m))
+        assert la.mat_mul(m, inv) == la.identity(len(m))
+    else:
+        with pytest.raises(la.SingularMatrix):
+            la.inverse(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_solve_finds_a_solution(data):
+    m = data.draw(q_matrices(max_rows=8, max_cols=8))
+    if not m:
+        return
+    x = data.draw(st.lists(ENTRIES["mixed"], min_size=len(m[0]), max_size=len(m[0])))
+    b = [sum(u * v for u, v in zip(row, x)) for row in m]
+    got = la.solve(m, b)
+    assert got is not None
+    _assert_types(got, fraction=True)
+    assert [sum(u * v for u, v in zip(row, got)) for row in m] == b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_products_equal_plain_sums(data):
+    kind = data.draw(st.sampled_from(sorted(ENTRIES)))
+    a = data.draw(q_matrices(max_rows=8, max_cols=8, kind=kind))
+    inner = len(a[0]) if a else 0
+    b = data.draw(st.lists(st.lists(ENTRIES[kind], min_size=5, max_size=5),
+                           min_size=inner, max_size=inner))
+    got = la.mat_mul(a, b)
+    assert got == _plain_mat_mul(a, b)
+    _assert_types([x for row in got for x in row], fraction=_has_fraction(a, b))
+    v = data.draw(st.lists(ENTRIES[kind], min_size=inner, max_size=inner))
+    got = la.mat_vec(a, v)
+    assert got == tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    _assert_types(got, fraction=_has_fraction(a, [v]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["split", "division"]),
+       st.lists(ENTRIES["mixed"], min_size=8, max_size=8),
+       st.lists(ENTRIES["mixed"], min_size=8, max_size=8))
+def test_oct_mul_coeffs_equals_plain_sum(kind, x, y):
+    space = oc.SPLIT if kind == "split" else oc.DIVISION
+    table = oc.basis_table(kind)
+    want = [Q(0)] * 8
+    for i in range(8):
+        for j in range(8):
+            for k, c in table.c[i][j]:
+                want[k] += x[i] * y[j] * c
+    got = space.oct_mul_coeffs(x, y)
+    assert list(got) == want
+    _assert_types(got, fraction=True)
+
+
+def test_generic_field_path_for_gaussian_and_bigfloat_entries():
+    i = GR(Q(0), Q(1))
+    m = [[GR(Q(1)), i], [i, GR(Q(2))]]
+    assert la.det(m) == 3
+    assert isinstance(la.det(m), GR)
+    inv = la.inverse(m)
+    assert la.mat_mul(m, inv) == [[1, 0], [0, 1]]
+    assert la.mat_vec(m, (i, GR(Q(1)))) == (2 * i, GR(Q(1)))
+    bf = [[BigFloat.of(2), BigFloat.of(1)], [BigFloat.of(4), BigFloat.of(2)]]
+    r, piv = la.rref(bf, tol=tolerance())
+    assert piv == [0] and all(isinstance(x, BigFloat) for row in r for x in row)
