@@ -20,6 +20,9 @@ from . import rootsys as rs
 from . import splitmodel as sm
 from .bigfloat import DEFAULT_DIGITS
 
+# below 2 digits the witness tolerance 10^(-P/2) is 1
+MIN_DIGITS = 2
+
 
 def _emit(payload, out: Optional[str]):
     text = json.dumps(payload, indent=2)
@@ -48,6 +51,10 @@ def cmd_roots(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.precision < MIN_DIGITS:
+        print(f"error: --precision must be at least {MIN_DIGITS}, got {args.precision} "
+              f"(the residual bound 10^(-P/2) certifies nothing below that)", file=sys.stderr)
+        return 2
     try:
         with open(args.file) as fh:
             data = json.load(fh)
@@ -58,16 +65,17 @@ def cmd_classify(args) -> int:
     if om.degree != 3:
         print(f"error: classify needs a 3-form, got degree {om.degree}", file=sys.stderr)
         return 2
-    tag = fo.classify_orbit(om)
+    an = fo.analyze(om)
+    tag = fo.classify_orbit(an)
     payload = {"orbit": tag.value, "signature": None}
     if tag is not fo.OrbitTag.NOT_GENERIC:
-        payload["signature"] = list(fo.normalized_signature(om))
+        payload["signature"] = list(fo.normalized_signature(an))
     if args.witness:
         if tag is fo.OrbitTag.NOT_GENERIC:
             print("error: no witness for a non-generic form", file=sys.stderr)
             return 2
         try:
-            payload["witness"] = fo.orbit_witness(om, args.precision).to_json()
+            payload["witness"] = fo.orbit_witness(an, args.precision).to_json()
         except fo.PrecisionExhausted as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 3
@@ -144,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("file", help="path to a 3-form file")
     pc.add_argument("--witness", action="store_true", help="also build a frame witness")
     pc.add_argument("--precision", type=int, default=DEFAULT_DIGITS,
-                    help="decimal digits for the witness (default 60)")
+                    help="decimal digits for the witness, at least 2 (default 60)")
     pc.add_argument("--out", default=None)
     pc.set_defaults(fn=cmd_classify)
 

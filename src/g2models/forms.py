@@ -8,13 +8,24 @@ symmetric Gram form attached to a 3-form and a basis {b_1..b_7},
 
 is computed by grouping the 5040 permutations into 210 representatives with
 s1 < s2, s3 < s4, s5 < s6 < s7 (each representative stands for 24 equal
-terms); tests compare against the literal 5040-term sum.  Classification is a
-signature computation over Q: nondegenerate Gram of signature {(4,3), (3,4)}
-means the split orbit, definite means the compact orbit, anything degenerate
-is not generic.  Scaling the Gram form by the real cube root of the exact
-rational constant alpha (from X ^ (X ^ Y) = alpha (n(X,Y)X - n(X)Y)) turns
-the wedge multiplication into a genuine cross product; that cube root is the
-only irrational step, so witnesses live in BigFloat while orbits stay exact.
+terms); tests compare against the literal 5040-term sum.  The grouped sum runs
+in Python integers: with D the LCM of the coefficient denominators, D*W has
+integer values, n is cubic in W, so the Gram of D*W is exactly D^3 times the
+Gram of W and one division per entry recovers the exact rational result.
+Classification is a signature computation over Q: nondegenerate Gram of
+signature {(4,3), (3,4)} means the split orbit, definite means the compact
+orbit, anything degenerate is not generic.  Scaling the Gram form by the real
+cube root of the exact rational constant alpha (from X ^ (X ^ Y) =
+alpha (n(X,Y)X - n(X)Y)) turns the wedge multiplication into a genuine cross
+product; that cube root is the only irrational step, so witnesses live in
+BigFloat while orbits stay exact.
+
+`analyze` builds the Gram form once per 3-form and diagonalizes it once; the
+resulting `FormAnalysis` carries the signature and the orbit, and computes
+alpha and the wedge table at most once, on first use.  `gram_signature`,
+`classify_orbit`, `normalization_constant`, `normalized_signature` and
+`orbit_witness` accept either a `KForm` (analyzed on the spot) or a
+`FormAnalysis`, so a caller that needs several of them pays for one Gram.
 
 Conventions fixed here once:
   * orientation form e^{1234567};
@@ -29,10 +40,11 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from math import lcm
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .bigfloat import BigFloat, DEFAULT_DIGITS, real_cube_root, tolerance
-from .linalg import SingularMatrix, inverse, mat_vec, rref, solve, sym_diagonalize
+from .linalg import SingularMatrix, inverse, mat_mul, rref, solve, sym_diagonalize
 from .scalars import fmt_q, parse_q
 
 Q0 = Fraction(0)
@@ -177,12 +189,16 @@ class KForm:
             raise ValueError("only dimension 7 is supported")
         coeffs = {}
         for term in d["terms"]:
-            idx = tuple(term["idx"])
+            idx, c = tuple(term["idx"]), term["c"]
+            if not isinstance(c, str):
+                raise ValueError(f"coefficient {c!r} of idx {list(idx)} is a {type(c).__name__}, "
+                                 f"not a rational string such as \"-3/4\"")
+            if idx in coeffs:
+                raise ValueError(f"repeated idx {list(idx)}")
             try:
-                c = parse_q(term["c"])
+                coeffs[idx] = parse_q(c)
             except ZeroDivisionError:
-                raise ValueError(f"zero denominator in coefficient {term['c']!r}") from None
-            coeffs[idx] = coeffs.get(idx, Q0) + c
+                raise ValueError(f"zero denominator in coefficient {c!r}") from None
         return KForm(d["degree"], coeffs)
 
 
@@ -281,47 +297,60 @@ def _patterns() -> List[Tuple[int, Tuple[int, ...]]]:
 _PATTERNS = _patterns()
 
 
-def _table_under_basis(a: KForm, basis: Optional[Sequence[Sequence[Fraction]]]):
+def _under_basis(a: KForm, basis: Optional[Sequence[Sequence[Fraction]]]) -> KForm:
     if basis is None:
-        return a.basis_table3()
+        return a
     # basis is a list of 7 vectors; make them the columns of the frame matrix
     frame = [[basis[c][r] for c in range(7)] for r in range(7)]
-    return transform(frame, a).basis_table3()
+    return transform(frame, a)
+
+
+def _int_table3(a: KForm) -> Tuple[int, List[List[List[int]]]]:
+    """(D, t): D the LCM of a's coefficient denominators, t the 7x7x7 table of D*a in ints."""
+    if a.degree != 3:
+        raise ValueError("only defined for 3-forms")
+    d = lcm(*[c.denominator for c in a.coeffs.values()])
+    t = [[[0] * 7 for _ in range(7)] for _ in range(7)]
+    for (i, j, k), c in a.coeffs.items():
+        v = c.numerator * (d // c.denominator)
+        i, j, k = i - 1, j - 1, k - 1
+        t[i][j][k] = t[j][k][i] = t[k][i][j] = v
+        t[j][i][k] = t[i][k][j] = t[k][j][i] = -v
+    return d, t
 
 
 def norm_from_form(a: KForm, basis: Optional[Sequence[Sequence[Fraction]]] = None) -> List[List[Fraction]]:
     """Gram matrix of the S7-sum bilinear form over the given basis (columns).
 
     basis=None means the canonical basis.  The result is symmetric and scales
-    by det(P) under a change of basis P.
+    by det(P) under a change of basis P.  The sum runs over the integer table
+    of D*a; its Gram is D^3 times the Gram of a, so each entry is divided by
+    D^3 once.
     """
-    t = _table_under_basis(a, basis)
+    d, t = _int_table3(_under_basis(a, basis))
     # third factor of each representative term is (i, j)-independent
-    pats = [(sg, p, t[p[4]][p[5]][p[6]]) for sg, p in _PATTERNS]
-    pats = [(sg, p, v) for sg, p, v in pats if v]
+    pats = [(p[0], p[1], p[2], p[3], sg * t[p[4]][p[5]][p[6]]) for sg, p in _PATTERNS]
+    pats = [pat for pat in pats if pat[4]]
+    d3 = d ** 3
     g = [[Q0] * 7 for _ in range(7)]
     for i in range(7):
         ti = t[i]
         for j in range(i, 7):
             tj = t[j]
-            acc = Q0
-            for sg, p, v3 in pats:
-                v1 = ti[p[0]][p[1]]
-                if not v1:
-                    continue
-                v2 = tj[p[2]][p[3]]
-                if not v2:
-                    continue
-                acc += (v1 * v2 * v3) if sg > 0 else -(v1 * v2 * v3)
-            acc *= 24
-            g[i][j] = acc
-            g[j][i] = acc
+            acc = 0
+            for p0, p1, p2, p3, v3 in pats:
+                v1 = ti[p0][p1]
+                if v1:
+                    v2 = tj[p2][p3]
+                    if v2:
+                        acc += v1 * v2 * v3
+            g[i][j] = g[j][i] = Fraction(24 * acc, d3)
     return g
 
 
 def norm_from_form_brute(a: KForm, basis: Optional[Sequence[Sequence[Fraction]]] = None) -> List[List[Fraction]]:
     """Literal 5040-term sum; the independent oracle for norm_from_form."""
-    t = _table_under_basis(a, basis)
+    t = _under_basis(a, basis).basis_table3()
     g = [[Q0] * 7 for _ in range(7)]
     perms = [(Fraction(_perm_sign(p)), p) for p in itertools.permutations(range(7))]
     for i in range(7):
@@ -340,58 +369,95 @@ class OrbitTag(Enum):
     NOT_GENERIC = "not-generic"
 
 
-def gram_signature(a: KForm) -> Optional[Tuple[int, int]]:
+class FormAnalysis:
+    """The Gram data of one 3-form, each quantity computed once.
+
+    Holds the form, its exact canonical-basis Gram matrix, the congruence
+    diagonalization (p, diag) of that Gram, its signature (None when
+    degenerate) and its orbit.  alpha and the wedge table are computed on
+    first use and kept.  Build it with `analyze`.
+    """
+
+    __slots__ = ("form", "gram", "p", "diag", "signature", "orbit", "_alpha", "_wedge_table")
+
+    def __init__(self, a: KForm, gram: List[List[Fraction]], p, diag):
+        self.form, self.gram, self.p, self.diag = a, gram, p, diag
+        n_minus = sum(1 for x in diag if x < 0)
+        n_plus = sum(1 for x in diag if x > 0)
+        self.signature = (n_minus, n_plus) if n_minus + n_plus == 7 else None
+        if self.signature is None:
+            self.orbit = OrbitTag.NOT_GENERIC
+        elif self.signature in ((4, 3), (3, 4)):
+            self.orbit = OrbitTag.SPLIT
+        elif self.signature in ((0, 7), (7, 0)):
+            self.orbit = OrbitTag.COMPACT
+        else:
+            raise AssertionError(f"impossible Gram signature {self.signature} for a 3-form")
+        self._alpha: Optional[Fraction] = None
+        self._wedge_table = None
+
+    @property
+    def wedge_table(self) -> List[List[List[Fraction]]]:
+        """Products e_i ^ e_j of the Gram's wedge multiplication, exact."""
+        if self._wedge_table is None:
+            self._wedge_table = _wedge_table_for_gram(self.form, self.gram)
+        return self._wedge_table
+
+    @property
+    def alpha(self) -> Fraction:
+        """The normalization constant; ValueError for a form that is not generic."""
+        if self._alpha is None:
+            self._alpha = _normalization_constant(self)
+        return self._alpha
+
+
+def analyze(a: KForm) -> FormAnalysis:
+    """One Gram build and one diagonalization of a 3-form."""
+    gram = norm_from_form(a)
+    p, d = sym_diagonalize(gram)
+    return FormAnalysis(a, gram, p, d)
+
+
+FormOrAnalysis = Union[KForm, FormAnalysis]
+
+
+def _analysis(a: FormOrAnalysis) -> FormAnalysis:
+    return a if isinstance(a, FormAnalysis) else analyze(a)
+
+
+def gram_signature(a: FormOrAnalysis) -> Optional[Tuple[int, int]]:
     """Signature of the canonical-basis Gram form, or None if degenerate."""
-    _, d = sym_diagonalize(norm_from_form(a))
-    n_minus = sum(1 for x in d if x < 0)
-    n_plus = sum(1 for x in d if x > 0)
-    if n_minus + n_plus < 7:
-        return None
-    return (n_minus, n_plus)
+    return _analysis(a).signature
 
 
-def classify_orbit(a: KForm) -> OrbitTag:
+def classify_orbit(a: FormOrAnalysis) -> OrbitTag:
     """Exact two-orbit classification of a rational 3-form."""
-    sig = gram_signature(a)
-    if sig is None:
-        return OrbitTag.NOT_GENERIC
-    if sig in ((4, 3), (3, 4)):
-        return OrbitTag.SPLIT
-    if sig in ((0, 7), (7, 0)):
-        return OrbitTag.COMPACT
-    raise AssertionError(f"impossible Gram signature {sig} for a 3-form")
+    return _analysis(a).orbit
 
 
 # ---------------------------------------------------------------------------
 # the wedge multiplication attached to a nondegenerate Gram form
 # ---------------------------------------------------------------------------
 
-def _wedge_table_for_gram(a: KForm, gram: Sequence[Sequence[Fraction]]) -> List[List[Tuple[Fraction, ...]]]:
-    """Products e_i ^ e_j defined by gram(e_i ^ e_j, z) = a(e_i, e_j, z), exact."""
-    t = a.basis_table3()
-    ginv = inverse([list(r) for r in gram])
-    tab: List[List[Tuple[Fraction, ...]]] = []
-    for i in range(7):
-        row = []
-        for j in range(7):
-            w = [t[i][j][k] for k in range(7)]
-            row.append(mat_vec(ginv, w))
-        tab.append(row)
-    return tab
+def _wedge_table_for_gram(a: KForm, gram: Sequence[Sequence[Fraction]]) -> List[List[List[Fraction]]]:
+    """Products e_i ^ e_j defined by gram(e_i ^ e_j, z) = a(e_i, e_j, z), exact.
 
-
-def normalization_constant(a: KForm) -> Fraction:
-    """The exact rational alpha with X ^ (X ^ Y) = alpha (n(X,Y) X - n(X) Y).
-
-    n is the canonical Gram form and ^ its wedge multiplication.  Rescaling n
-    by the real cube root of alpha produces a cross product; in particular
-    sign(alpha) tells how the normalized norm is oriented.
+    e_i ^ e_j = ginv a(e_i, e_j, .), which is row 7i + j of W ginv for the
+    49x7 matrix W of rows a(e_i, e_j, .), because ginv is symmetric.  W is
+    taken from the integer table of D*a and ginv from D*gram, whose inverse
+    is ginv / D, so the product needs no Fraction rows on the left.
     """
-    gram = norm_from_form(a)
-    p, d = sym_diagonalize(gram)
+    d, t = _int_table3(a)
+    ginv_over_d = inverse([[d * x for x in row] for row in gram])
+    prods = mat_mul([t[i][j] for i in range(7) for j in range(7)], ginv_over_d)
+    return [prods[7 * i:7 * i + 7] for i in range(7)]
+
+
+def _normalization_constant(an: FormAnalysis) -> Fraction:
+    p, d = an.p, an.diag
     if any(x == 0 for x in d):
         raise ValueError("form is not generic")
-    tab = _wedge_table_for_gram(a, gram)
+    tab = an.wedge_table
 
     def wedge_vec(u, v):
         out = [Q0] * 7
@@ -425,13 +491,23 @@ def normalization_constant(a: KForm) -> Fraction:
     return alpha
 
 
-def normalized_signature(a: KForm) -> Optional[Tuple[int, int]]:
+def normalization_constant(a: FormOrAnalysis) -> Fraction:
+    """The exact rational alpha with X ^ (X ^ Y) = alpha (n(X,Y) X - n(X) Y).
+
+    n is the canonical Gram form and ^ its wedge multiplication.  Rescaling n
+    by the real cube root of alpha produces a cross product; in particular
+    sign(alpha) tells how the normalized norm is oriented.
+    """
+    return _analysis(a).alpha
+
+
+def normalized_signature(a: FormOrAnalysis) -> Optional[Tuple[int, int]]:
     """Signature of the cross-product-normalized norm: (4,3) split, (0,7) compact."""
-    sig = gram_signature(a)
+    an = _analysis(a)
+    sig = an.signature
     if sig is None:
         return None
-    alpha = normalization_constant(a)
-    if alpha < 0:
+    if an.alpha < 0:
         sig = (sig[1], sig[0])
     return sig
 
@@ -492,7 +568,7 @@ def _residual_against(a: KForm, rep: KForm, cols: Sequence[Sequence[BigFloat]], 
     return worst
 
 
-def orbit_witness(a: KForm, digits: int = DEFAULT_DIGITS) -> Witness:
+def orbit_witness(a: FormOrAnalysis, digits: int = DEFAULT_DIGITS) -> Witness:
     """Constructive change of frame onto the orbit representative.
 
     Exactly-representative inputs short-circuit to the identity witness.  The
@@ -500,7 +576,8 @@ def orbit_witness(a: KForm, digits: int = DEFAULT_DIGITS) -> Witness:
     at the requested precision; the residual bound is 10^(-digits/2) and
     PrecisionExhausted reports a miss.
     """
-    tag = classify_orbit(a)
+    an = _analysis(a)
+    a, tag = an.form, an.orbit
     if tag is OrbitTag.NOT_GENERIC:
         raise ValueError("cannot build a witness for a non-generic form")
     ident = tuple(tuple(BigFloat.of(1 if i == j else 0, digits) for j in range(7)) for i in range(7))
@@ -509,13 +586,12 @@ def orbit_witness(a: KForm, digits: int = DEFAULT_DIGITS) -> Witness:
     if a == OMEGA1:
         return Witness(ident, OrbitTag.COMPACT, BigFloat.of(0, digits), digits)
 
-    gram = norm_from_form(a)
-    p, d = sym_diagonalize(gram)
-    alpha = normalization_constant(a)
+    gram, p, d = an.gram, an.p, an.diag
+    alpha = an.alpha
     s = real_cube_root(alpha, digits)
     tol = tolerance(digits)
 
-    tab_q = _wedge_table_for_gram(a, gram)
+    tab_q = an.wedge_table
     inv_s = BigFloat.of(1, digits) / s
     tab = [[[inv_s * BigFloat.of(tab_q[i][j][k], digits) for k in range(7)] for j in range(7)]
            for i in range(7)]

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
 MAX_HEIGHT = 64  # E8's highest root has height 29; anything deeper is not finite type
@@ -201,20 +204,30 @@ class InnerForm:
                 assert g[i][j] == g[j][i], "symmetrization failed"
         return InnerForm(tuple(tuple(row) for row in g))
 
+    @cached_property
+    def _scaled(self) -> Tuple[int, Tuple[Tuple[int, ...], ...]]:
+        """(L, L * matrix) over the integers, L the LCM of the matrix's denominators."""
+        scale = lcm(*[Fraction(x).denominator for row in self.matrix for x in row])
+        return scale, tuple(tuple(int(x * scale) for x in row) for row in self.matrix)
+
+    def _scaled_inner(self, a: Sequence[int], b: Sequence[int]) -> int:
+        m = self._scaled[1]
+        return sum(ai * sum(map(mul, m[i], b)) for i, ai in enumerate(a) if ai)
+
     def inner(self, a: Sequence[int], b: Sequence[int]) -> Fraction:
-        return sum(
-            Fraction(ai) * self.matrix[i][j] * Fraction(bj)
-            for i, ai in enumerate(a)
-            for j, bj in enumerate(b)
-            if ai and bj
-        )
+        return Fraction(self._scaled_inner(a, b), self._scaled[0])
 
     def pairing(self, beta: Sequence[int], alpha: Sequence[int]) -> int:
-        """<beta, alpha> = 2(beta, alpha)/(alpha, alpha); integral on roots."""
-        v = 2 * self.inner(beta, alpha) / self.inner(alpha, alpha)
-        if v.denominator != 1:
-            raise ValueError(f"pairing {v} is not integral")
-        return int(v)
+        """<beta, alpha> = 2(beta, alpha)/(alpha, alpha); integral on roots.
+
+        The common scale L of both inner products cancels, so the quotient is
+        taken over the integers.
+        """
+        num, den = 2 * self._scaled_inner(beta, alpha), self._scaled_inner(alpha, alpha)
+        k, r = divmod(num, den)
+        if r:
+            raise ValueError(f"pairing {Fraction(num, den)} is not integral")
+        return k
 
     def reflect(self, beta: Sequence[int], alpha: Sequence[int]) -> Tuple[int, ...]:
         k = self.pairing(beta, alpha)

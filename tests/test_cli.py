@@ -89,14 +89,34 @@ def test_classify_parse_error_exit_2(tmp_path):
     ({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": "1/0"}]}, "zero denominator"),
     ([{"idx": [1, 2, 3], "c": "1"}], "expected a JSON object"),
     ({"dim": 7, "degree": 2, "terms": [{"idx": [1, 2], "c": "1"}]}, "degree 2"),
+    pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": 1.5}]},
+                 "not a rational string", id="float-coefficient"),
+    pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": True}]},
+                 "not a rational string", id="bool-coefficient"),
+    pytest.param('{"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": 1e999}]}',
+                 "not a rational string", id="overflowing-number"),
+    pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": "1"},
+                                                   {"idx": [4, 5, 6], "c": "2"},
+                                                   {"idx": [1, 2, 3], "c": "1"}]},
+                 "repeated idx [1, 2, 3]", id="repeated-idx"),
 ])
 def test_classify_malformed_form_exit_2(tmp_path, payload, reason):
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps(payload))
+    p.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     code, out, err = run_cli("classify", str(p))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and reason in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("precision", ["1", "0", "-5"])
+def test_classify_precision_below_2_exit_2(tmp_path, precision):
+    p = _write_form(tmp_path, "o0.json", fo.OMEGA0)
+    code, out, err = run_cli("classify", p, "--witness", "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --precision must be at least 2")
     assert len(err.splitlines()) == 1
 
 

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from g2models import cli
 from g2models import forms as fo
 from g2models import octonions as oc
 from g2models.bigfloat import BigFloat, tolerance
-from g2models.linalg import det, mat_mul, transpose
+from g2models.linalg import det, inverse, mat_mul, mat_vec, transpose
 
 Q = Fraction
 rng = random.Random(20240809)
@@ -176,6 +178,150 @@ def test_gram_scaling_law():
             dp = det(p)
             rhs = mat_mul(transpose(p), mat_mul(g, p))
             assert lhs == [[dp * x for x in row] for row in rhs]
+
+
+# -- the integer Gram against Fraction references --------------------------------
+
+TRIPLES = tuple(itertools.combinations(range(1, 8), 3))
+
+
+def _sign(p):
+    return -1 if sum(p[i] > p[j] for i in range(len(p)) for j in range(i + 1, len(p))) & 1 else 1
+
+
+def _gram_fraction_grouped(a, basis=None):
+    """The 210-pattern grouped sum in Fraction arithmetic, as norm_from_form computed it
+    before the integer table: the reference for the D^3 law."""
+    if basis is not None:
+        a = fo.transform([[basis[c][r] for c in range(7)] for r in range(7)], a)
+    t = a.basis_table3()
+    pats = []
+    for s3 in itertools.combinations(range(7), 3):
+        rest = [i for i in range(7) if i not in s3]
+        for pair_a in itertools.combinations(rest, 2):
+            p = pair_a + tuple(i for i in rest if i not in pair_a) + s3
+            pats.append((_sign(p), p))
+    g = [[Q(0)] * 7 for _ in range(7)]
+    for i in range(7):
+        for j in range(i, 7):
+            acc = Q(0)
+            for sg, p in pats:
+                acc += sg * t[i][p[0]][p[1]] * t[j][p[2]][p[3]] * t[p[4]][p[5]][p[6]]
+            g[i][j] = g[j][i] = 24 * acc
+    return g
+
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@st.composite
+def rational_forms(draw, max_terms=12):
+    """3-forms with at least one coefficient whose denominator exceeds 1 (so D > 1)."""
+    terms = draw(st.dictionaries(st.sampled_from(TRIPLES), coefficients, min_size=1, max_size=max_terms))
+    idx = draw(st.sampled_from(TRIPLES))
+    terms[idx] = draw(st.sampled_from([Q(1, 2), Q(-2, 3), Q(5, 6), Q(-7, 4)]))
+    return fo.form(3, terms)
+
+
+@st.composite
+def invertible(draw, entries=st.integers(-2, 2)):
+    g = draw(st.lists(st.lists(entries, min_size=7, max_size=7), min_size=7, max_size=7))
+    for i in range(7):  # a dominant diagonal keeps g invertible
+        g[i][i] = 7 * (1 if g[i][i] >= 0 else -1) + g[i][i]
+    return [[Q(x) for x in row] for row in g]
+
+
+@st.composite
+def unimodular(draw):
+    """A GL(7, Z) element: a signed permutation times elementary shears."""
+    perm = draw(st.permutations(range(7)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=7, max_size=7))
+    g = [[Q(signs[i]) if perm[i] == j else Q(0) for j in range(7)] for i in range(7)]
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(-3, 3)),
+                                 max_size=10)):
+        if i != j:
+            g[i] = [x + c * y for x, y in zip(g[i], g[j])]
+    return g
+
+
+@st.composite
+def generic_forms(draw):
+    """Pulled-back orbit representatives with rational coefficients, and their label."""
+    rep, tag = draw(st.sampled_from([(fo.OMEGA0, fo.OrbitTag.SPLIT), (fo.OMEGA1, fo.OrbitTag.COMPACT)]))
+    g = draw(invertible(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+    return fo.transform(g, rep), tag
+
+
+@pytest.mark.parametrize("with_basis", [False, True])
+@settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(a=rational_forms(max_terms=6), p=invertible())
+def test_integer_gram_equals_brute_oracle_on_rational_forms(with_basis, a, p):
+    basis = [[p[r][c] for r in range(7)] for c in range(7)] if with_basis else None
+    assert fo.norm_from_form(a, basis) == fo.norm_from_form_brute(a, basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=rational_forms(), p=invertible(), with_basis=st.booleans())
+def test_integer_gram_equals_fraction_grouped_sum(a, p, with_basis):
+    basis = [[p[r][c] for r in range(7)] for c in range(7)] if with_basis else None
+    got = fo.norm_from_form(a, basis)
+    assert got == _gram_fraction_grouped(a, basis)
+    assert all(type(x) is Fraction for row in got for x in row)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ga=generic_forms())
+def test_wedge_table_equals_one_mat_vec_per_pair(ga):
+    a, _ = ga
+    gram = fo.norm_from_form(a)
+    t, ginv = a.basis_table3(), inverse(gram)
+    want = [[list(mat_vec(ginv, t[i][j])) for j in range(7)] for i in range(7)]
+    assert fo.analyze(a).wedge_table == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.one_of(rational_forms(), generic_forms().map(lambda ga: ga[0])),
+       t=st.fractions(min_value=Q(1, 7), max_value=20, max_denominator=7))
+def test_signature_and_alpha_under_positive_rescaling(a, t):
+    an, scaled = fo.analyze(a), fo.analyze(a.scale(t))
+    assert scaled.signature == an.signature == fo.gram_signature(a.scale(t))
+    if an.signature is not None:
+        assert scaled.alpha == t ** -7 * an.alpha
+        assert fo.normalization_constant(a.scale(t)) == t ** -7 * fo.normalization_constant(a)
+
+
+@settings(max_examples=15, deadline=None)
+@given(ga=generic_forms(), other=rational_forms(), g=unimodular())
+def test_orbit_invariant_under_integer_pullbacks(ga, other, g):
+    a, tag = ga
+    assert fo.classify_orbit(fo.pullback(g, a)) is tag
+    assert fo.classify_orbit(fo.pullback(g, other)) is fo.classify_orbit(other)
+
+
+def test_one_gram_build_per_classify_op(tmp_path, monkeypatch):
+    calls = []
+    real = fo.norm_from_form
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fo, "norm_from_form", counting)
+    g = [[Q(1 if i == j else 0) for j in range(7)] for i in range(7)]
+    g[0][1], g[3][4], g[6][2] = Q(2, 3), Q(-1), Q(5, 2)
+    cases = [(fo.transform(g, fo.OMEGA0), "split"), (fo.transform(g, fo.OMEGA1), "compact"),
+             (fo.form(3, {(1, 2, 3): 1}), "not-generic")]
+    for a, orbit in cases:
+        f, out = tmp_path / "f.json", tmp_path / "o.json"
+        f.write_text(json.dumps(a.to_json()))
+        argvs = [["classify", str(f), "--out", str(out)]]
+        if orbit != "not-generic":
+            argvs.append(["classify", str(f), "--witness", "--precision", "40", "--out", str(out)])
+        for argv in argvs:
+            calls.clear()
+            assert cli.main(argv) == 0
+            assert json.loads(out.read_text())["orbit"] == orbit
+            assert len(calls) == 1
 
 
 # -- classification -------------------------------------------------------------

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from g2models import rootsys as rs
@@ -161,3 +163,32 @@ def test_json_emission():
     assert d["type"] == "G2"
     assert {"coords": [1, 0], "height": 1} in d["roots"]
     assert len(d["roots"]) == 12
+
+
+def _fraction_inner(form, a, b):
+    return sum((Fraction(ai) * form.matrix[i][j] * Fraction(bj)
+                for i, ai in enumerate(a) for j, bj in enumerate(b)), Fraction(0))
+
+
+@pytest.mark.parametrize("family, rank", [("G", 2), ("B", 3), ("C", 3), ("F", 4)])
+def test_integer_pairing_matches_fraction_definition(family, rank):
+    c = rs.cartan_of_type(family, rank)
+    form = rs.InnerForm.from_cartan(c)
+    roots = [r.coords for r in rs.roots_from_cartan(c)]
+    for b in roots:
+        for a in roots:
+            want = 2 * _fraction_inner(form, b, a) / _fraction_inner(form, a, a)
+            assert want.denominator == 1
+            assert form.inner(b, a) == _fraction_inner(form, b, a)
+            assert form.pairing(b, a) == want and type(form.pairing(b, a)) is int
+            assert form.reflect(b, a) == tuple(x - want * y for x, y in zip(b, a))
+
+
+def test_integer_pairing_with_rational_matrix():
+    # a common denominator of 2 is cleared and cancels; 2(b, a)/(a, a) = 1/2 still raises
+    form = rs.InnerForm(((Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(3, 2))))
+    assert form.inner((1, 1), (1, 1)) == 2 == _fraction_inner(form, (1, 1), (1, 1))
+    assert form.pairing((1, 1), (0, 1)) == 2
+    assert form.pairing((1, 0), (1, 0)) == 2
+    with pytest.raises(ValueError, match="not integral"):
+        form.pairing((1, 0), (1, 1))
