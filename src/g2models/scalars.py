@@ -22,6 +22,13 @@ def fmt_q(x: Fraction) -> str:
 
 
 def parse_q(s: str) -> Fraction:
+    """Parse "p", "p/q" or a finite decimal such as "0.5"; exponent notation is rejected.
+
+    An exponent would let a few characters ask for an integer of any size
+    ("1e999999999" has a billion digits), and `fmt_q` never writes one.
+    """
+    if "e" in s or "E" in s:
+        raise ValueError(f"exponent notation in {s!r}; write the rational as \"p/q\" or a plain decimal")
     return Fraction(s)
 
 

@@ -99,6 +99,12 @@ def test_classify_parse_error_exit_2(tmp_path):
                                                    {"idx": [4, 5, 6], "c": "2"},
                                                    {"idx": [1, 2, 3], "c": "1"}]},
                  "repeated idx [1, 2, 3]", id="repeated-idx"),
+    pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [1.0, 2, 3], "c": "1"}]},
+                 "not a list of integers", id="float-idx"),
+    pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [True, 2, 3], "c": "1"}]},
+                 "not a list of integers", id="bool-idx"),
+    pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": "1e999999999"}]},
+                 "exponent notation", id="exponent-coefficient"),
 ])
 def test_classify_malformed_form_exit_2(tmp_path, payload, reason):
     p = tmp_path / "bad.json"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -434,6 +435,61 @@ def test_precision_exhausted_raised_on_impossible_tolerance():
             fmod.orbit_witness(om, 60)
     finally:
         fmod.tolerance = orig
+
+
+def _exact_residual(a, phi, rep):
+    """max over basis triples of |a(phi e_i, phi e_j, phi e_k) - rep_ijk| for printed phi, exact.
+
+    Fractions and the literal 3x3 minors of phi, independent of the integer
+    contraction in `forms`.
+    """
+    m = [[Q(Decimal(x)) for x in row] for row in phi]
+    worst = Q(0)
+    for ijk in TRIPLES:
+        cols = [i - 1 for i in ijk]
+        acc = Q(0)
+        for pqr, c in a.coeffs.items():
+            (x, y, z), (u, v, w), (g, h, k) = ([m[p - 1][col] for col in cols] for p in pqr)
+            acc += c * (x * (v * k - w * h) - y * (u * k - w * g) + z * (u * h - v * g))
+        worst = max(worst, abs(acc - rep.coeffs.get(ijk, Q(0))))
+    return worst
+
+
+@settings(max_examples=20, deadline=None)
+@given(ga=generic_forms(), digits=st.integers(10, 120))
+def test_printed_residual_bounds_the_exact_residual_within_1_percent(ga, digits):
+    a, tag = ga
+    w = fo.orbit_witness(a, digits).to_json()
+    exact = _exact_residual(a, w["phi"], fo.OMEGA0 if tag is fo.OrbitTag.SPLIT else fo.OMEGA1)
+    printed = Q(Decimal(w["residual"]))
+    assert exact <= printed <= Q(101, 100) * exact
+    assert printed <= Q(1, 10 ** (digits // 2))
+
+
+@pytest.mark.parametrize("num, den, want", [
+    (1, 3, "3.34E-1"), (2, 3, "6.67E-1"), (100, 1, "1.00E+2"), (1001, 1, "1.01E+3"),
+    (999999, 1000, "1.00E+3"), (999, 10 ** 50, "9.99E-48"), (10 ** 60 + 1, 7, "1.43E+59"),
+])
+def test_ceil_3_digits(num, den, want):
+    got = fo._ceil_3_digits(num, den)
+    assert f"{got:E}" == want
+    assert Q(num, den) <= Q(got) < Q(101, 100) * Q(num, den)
+
+
+def test_witness_op_evaluates_the_form_at_most_once(tmp_path, monkeypatch):
+    g = [[Q(1 if i == j else 0) for j in range(7)] for i in range(7)]
+    g[0][1], g[3][4], g[6][2] = Q(2, 3), Q(-1), Q(5, 2)
+    cases = [(fo.transform(g, fo.OMEGA0), 1), (fo.transform(g, fo.OMEGA1), 0)]
+    calls = []
+    real = fo.KForm.evaluate
+    monkeypatch.setattr(fo.KForm, "evaluate", lambda self, vectors: calls.append(1) or real(self, vectors))
+    for a, most in cases:
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(a.to_json()))
+        calls.clear()
+        assert cli.main(["classify", str(f), "--witness", "--precision", "200", "--out",
+                         str(tmp_path / "o.json")]) == 0
+        assert len(calls) <= most
 
 
 # -- the F operator --------------------------------------------------------------
