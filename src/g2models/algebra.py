@@ -8,9 +8,9 @@ forms' Lie brackets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from .linalg import sym_signature
 from .scalars import fmt_q

@@ -18,7 +18,7 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from . import compactmodel as cm
 from . import forms as fo
@@ -28,10 +28,10 @@ from . import rootsys as rs
 from . import spinor as sp
 from . import splitmodel as sm
 from .algebra import (AlgebraTable, anticommutative, generated_ideal_dim,
-                      jacobi_holds_everywhere, killing_gram)
+                      jacobi_holds_everywhere)
 from .derivations import (DerivationAlgebra, annihilator_stabilizer,
                           derivations_of_algebra, derivations_of_form, skew_adjoint_ok)
-from .linalg import (coords_in_basis, det, inverse, mat_mul, mat_vec, nullspace,
+from .linalg import (coords_in_basis, det, mat_mul, mat_vec, nullspace,
                      rank, same_span, span_contains, sym_signature, transpose)
 
 Q0 = Fraction(0)

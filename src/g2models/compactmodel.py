@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraTable, killing_signature as _table_killing_signature
-from .derivations import DerivationAlgebra
 from .forms import KForm
 from .linalg import coords_in_basis, mat_vec
 from .scalars import GaussianRational as GR

@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebra import AlgebraTable
 from .linalg import (coords_in_basis, mat_mul, mat_sub, mat_vec, nullspace,
-                     same_span, span_contains, span_rref)
+                     same_span, span_contains)
 
 Q0 = Fraction(0)
 Matrix = List[List[Fraction]]
@@ -43,7 +43,7 @@ def _dedup_rows(rows: List[List[Fraction]]) -> List[List[Fraction]]:
         lead = next((x for x in row if x), None)
         if lead is None:
             continue
-        key = tuple(x / lead for x in row)
+        key = tuple((c, x / lead) for c, x in enumerate(row) if x)
         if key not in seen:
             seen.add(key)
             out.append(row)

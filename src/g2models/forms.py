@@ -27,13 +27,15 @@ alpha and the wedge table at most once, on first use.  `gram_signature`,
 `orbit_witness` accept either a `KForm` (analyzed on the spot) or a
 `FormAnalysis`, so a caller that needs several of them pays for one Gram.
 
-A witness's residual is a certificate, computed exactly: the BigFloat frame
-phi has finite decimal entries, so it is an integer matrix over a power of
-ten, and contracting the integer table of D*a with it one index at a time
-gives every a(phi e_i, phi e_j, phi e_k) as an exact integer over a common
-denominator.  The largest difference from the representative, rounded up to
-3 significant digits, is the printed residual: an upper bound on the true
-residual of the printed phi, above it by less than 1%.
+`transform` (so `pullback` and the Gram in a given basis) and the witness
+certificate share one integer kernel, `_contract3`, which contracts the table
+of D*a with an integer frame f one index at a time into every a(f e_i, f e_j,
+f e_k).  `transform` takes 3-forms only; it scales g by the LCM e of its
+denominators and divides by D e^3 once.  A witness frame phi has finite
+decimal entries, so it is an integer matrix over a power of ten; its largest
+exact difference from the representative, rounded up to 3 significant digits,
+is the printed residual: an upper bound on the true residual of the printed
+phi, above it by less than 1%.
 
 Conventions fixed here once:
   * orientation form e^{1234567};
@@ -50,10 +52,10 @@ from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from math import floor, lcm, log10
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bigfloat import BigFloat, DEFAULT_DIGITS, real_cube_root, tolerance
-from .linalg import SingularMatrix, inverse, mat_mul, rref, solve, sym_diagonalize
+from .linalg import inverse, mat_mul, rref, sym_diagonalize
 from .scalars import fmt_q, parse_q
 
 Q0 = Fraction(0)
@@ -111,7 +113,8 @@ class KForm:
             c = Fraction(c)
             if c:
                 clean[idx] = c
-        self.coeffs = clean
+        # sorted, so that BigFloat sums over the terms do not depend on their input order
+        self.coeffs = dict(sorted(clean.items()))
 
     # -- ring-ish operations ------------------------------------------------
     def __add__(self, other: "KForm") -> "KForm":
@@ -138,7 +141,7 @@ class KForm:
         return self.degree == other.degree and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.degree, tuple(sorted(self.coeffs.items()))))
+        return hash((self.degree, tuple(self.coeffs.items())))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -147,7 +150,7 @@ class KForm:
         if not self.coeffs:
             return "0"
         parts = []
-        for idx, c in sorted(self.coeffs.items()):
+        for idx, c in self.coeffs.items():
             name = "e^{" + "".join(str(i) for i in idx) + "}" if idx else "1"
             parts.append(f"{fmt_q(c)}*{name}")
         return " + ".join(parts)
@@ -186,7 +189,7 @@ class KForm:
         return {
             "dim": 7,
             "degree": self.degree,
-            "terms": [{"idx": list(idx), "c": fmt_q(c)} for idx, c in sorted(self.coeffs.items())],
+            "terms": [{"idx": list(idx), "c": fmt_q(c)} for idx, c in self.coeffs.items()],
         }
 
     @staticmethod
@@ -275,15 +278,31 @@ def interior_product(u: Sequence, a: KForm) -> KForm:
     return KForm(a.degree - 1, out)
 
 
+THREE_FORM_INDEX: Tuple[Idx, ...] = tuple(itertools.combinations(range(1, 8), 3))
+
+
+def _contract3(t: Sequence[Sequence[Sequence[int]]], f: Sequence[Sequence[int]]) -> List[int]:
+    """a(f e_i, f e_j, f e_k) for the integer table t of a and every (i, j, k) in THREE_FORM_INDEX, exact.
+
+    The last index goes first (small table entries times f, zeros skipped), then the middle one.
+    """
+    t1 = [[[sum(v * fr[k] for fr, v in zip(f, tpq) if v) for k in range(7)] for tpq in tp] for tp in t]
+    t2 = {(j, k): [sum(t1[p][q][k] * f[q][j] for q in range(7)) for p in range(7)]
+          for j, k in itertools.combinations(range(7), 2)}
+    return [sum(f[p][i - 1] * t2[j - 1, k - 1][p] for p in range(7)) for i, j, k in THREE_FORM_INDEX]
+
+
 def transform(g: Sequence[Sequence[Fraction]], a: KForm) -> KForm:
-    """The form X .. -> a(gX, ..); exact for rational g."""
-    cols = [[g[r][c] for r in range(7)] for c in range(7)]
-    out: Dict[Idx, Fraction] = {}
-    for idx in itertools.combinations(range(1, 8), a.degree):
-        val = a.evaluate([cols[i - 1] for i in idx])
-        if val:
-            out[idx] = Fraction(val)
-    return KForm(a.degree, out)
+    """The 3-form X .. -> a(gX, ..), exact for rational g; ValueError for other degrees.
+
+    One `_contract3`, the witness certificate's kernel, with e*g (e the LCM of g's denominators), over D e^3.
+    """
+    d, t = _int_table3(a)
+    g = [[Fraction(x) for x in row] for row in g]
+    e = lcm(*[x.denominator for row in g for x in row])
+    vals = _contract3(t, [[x.numerator * (e // x.denominator) for x in row] for row in g])
+    den = d * e ** 3
+    return KForm(3, {idx: Fraction(v, den) for idx, v in zip(THREE_FORM_INDEX, vals) if v})
 
 
 def pullback(g: Sequence[Sequence[Fraction]], a: KForm) -> KForm:
@@ -310,11 +329,8 @@ _PATTERNS = _patterns()
 
 
 def _under_basis(a: KForm, basis: Optional[Sequence[Sequence[Fraction]]]) -> KForm:
-    if basis is None:
-        return a
-    # basis is a list of 7 vectors; make them the columns of the frame matrix
-    frame = [[basis[c][r] for c in range(7)] for r in range(7)]
-    return transform(frame, a)
+    # basis is a list of 7 vectors, the columns of the frame matrix
+    return a if basis is None else transform([list(row) for row in zip(*basis)], a)
 
 
 def _int_table3(a: KForm) -> Tuple[int, List[List[List[int]]]]:
@@ -369,9 +385,10 @@ def norm_from_form_brute(a: KForm, basis: Optional[Sequence[Sequence[Fraction]]]
         for j in range(i, 7):
             acc = Q0
             for sg, p in perms:
-                acc += sg * t[i][p[0]][p[1]] * t[j][p[2]][p[3]] * t[p[4]][p[5]][p[6]]
-            g[i][j] = acc
-            g[j][i] = acc
+                v1 = t[i][p[0]][p[1]]
+                if v1:
+                    acc += sg * v1 * t[j][p[2]][p[3]] * t[p[4]][p[5]][p[6]]
+            g[i][j] = g[j][i] = acc
     return g
 
 
@@ -545,10 +562,6 @@ class Witness:
         }
 
 
-def _bf_mat(m: Sequence[Sequence], digits: int) -> List[List[BigFloat]]:
-    return [[BigFloat.of(x, digits) for x in row] for row in m]
-
-
 def _bf_bilinear(gram, u, v):
     acc = None
     for i, ui in enumerate(u):
@@ -593,31 +606,20 @@ def _residual_against(a: KForm, rep: KForm, cols: Sequence[Sequence[BigFloat]], 
 
     phi (columns `cols`) has finite decimal entries, so with E the least
     exponent among them (capped at 0), F = 10^(-E) phi is an integer matrix;
-    with (D, A) the integer table of D*a, contracting A with F one index at a
-    time gives D 10^(-3E) a(phi e_i, phi e_j, phi e_k) exactly.  rep has
+    with (D, A) the integer table of D*a, `_contract3(A, F)` gives
+    D 10^(-3E) a(phi e_i, phi e_j, phi e_k) exactly.  rep has
     integer coefficients, so the worst difference is an exact integer, and one
     division by D 10^(-3E), rounded up, makes the result an upper bound on the
     true residual of the printed phi, above it by less than 1%.
     """
     exp = min(0, min(x.val.as_tuple().exponent for col in cols for x in col))
     unit = 10 ** -exp
-    f = [[0] * 7 for _ in range(7)]
-    for k, col in enumerate(cols):
-        for r, x in enumerate(col):
-            num, den = x.val.as_integer_ratio()  # den divides 10^(-exp)
-            f[r][k] = num * (unit // den)
+    ratios = [[x.val.as_integer_ratio() for x in col] for col in cols]  # each den divides 10^(-exp)
+    f = [[num * (unit // den) for num, den in row] for row in zip(*ratios)]
     d, t = _int_table3(a)
-    # t1[p][q][k] = sum_r t[p][q][r] f[r][k]: small times big
-    t1 = [[[sum(v * fr[k] for fr, v in zip(f, tpq) if v) for k in range(7)] for tpq in tp] for tp in t]
     scale = d * unit ** 3
-    worst = 0
-    for k in range(7):
-        for j in range(k):
-            t2 = [sum(t1[p][q][k] * f[q][j] for q in range(7)) for p in range(7)]
-            for i in range(j):
-                val = sum(f[p][i] * t2[p] for p in range(7))
-                want = int(rep.coeffs.get((i + 1, j + 1, k + 1), 0))
-                worst = max(worst, abs(val - want * scale))
+    vals = _contract3(t, f)
+    worst = max(abs(val - int(rep.coeffs.get(ijk, 0)) * scale) for ijk, val in zip(THREE_FORM_INDEX, vals))
     if not worst:
         return BigFloat.of(0, digits)
     return BigFloat(_ceil_3_digits(worst, scale), digits)

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .algebra import AlgebraTable, killing_gram
+from .algebra import killing_gram
 from .derivations import DerivationAlgebra, annihilator_stabilizer, derivations_of_form
 from .forms import OMEGA0, OMEGA1, KForm, transform
-from .linalg import coords_in_basis, inverse, mat_mul, mat_vec, nullspace, same_span, span_contains
-from .octonions import (DIVISION, SPLIT, CrossProductSpace, NotUnitNorm, Octonion,
-                        basis_vec)
+from .linalg import coords_in_basis, inverse, mat_mul, mat_vec, nullspace, span_contains
+from .octonions import DIVISION, SPLIT, CrossProductSpace, NotUnitNorm, basis_vec
 from .scalars import GaussianRational
 
 Q0 = Fraction(0)

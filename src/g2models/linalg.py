@@ -15,12 +15,12 @@ Type rule for Q inputs: no float is ever produced.  ``mat_mul`` and
 every output entry is a Fraction, and ``rref``, ``nullspace``, ``solve``,
 ``inverse`` and ``det`` always return Fractions.
 
-Matrices with Gaussian-rational or BigFloat entries, or calls with a pivot
-tolerance, take the generic field path: Gauss-Jordan elimination that divides
-at every pivot.  Equality of exact matrices is entrywise.  For BigFloat
-matrices a pivot tolerance must be supplied and partial pivoting kicks in;
-exact fields use the first nonzero pivot so reduced echelon bases are
-reproducible.
+Matrices with Gaussian-rational or BigFloat entries, or an ``rref`` call with
+a pivot tolerance, take the generic field path: Gauss-Jordan elimination that
+divides at every pivot.  Equality of exact matrices is entrywise.  A pivot
+tolerance is accepted by ``rref`` only; BigFloat matrices need one, and with
+it partial pivoting kicks in.  Exact fields use the first nonzero pivot so
+reduced echelon bases are reproducible.
 """
 
 from __future__ import annotations
@@ -272,11 +272,11 @@ def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
     return out, piv_cols
 
 
-def rank(m: Sequence[Sequence], tol=None) -> int:
-    return len(rref(m, tol)[1])
+def rank(m: Sequence[Sequence]) -> int:
+    return len(rref(m)[1])
 
 
-def nullspace(m: Sequence[Sequence], tol=None) -> List[tuple]:
+def nullspace(m: Sequence[Sequence]) -> List[tuple]:
     """Basis of the kernel as column vectors, free variables in ascending order.
 
     Exact over Q/Q(i): the vectors span the kernel and rank + len(basis) = cols.
@@ -285,7 +285,7 @@ def nullspace(m: Sequence[Sequence], tol=None) -> List[tuple]:
     cols = len(m[0]) if rows else 0
     if rows == 0:
         return [tuple(Fraction(1) if i == j else Fraction(0) for i in range(cols)) for j in range(cols)]
-    r, piv = rref(m, tol)
+    r, piv = rref(m)
     one = Fraction(1)
     piv_set = set(piv)
     basis = []
@@ -300,12 +300,12 @@ def nullspace(m: Sequence[Sequence], tol=None) -> List[tuple]:
     return basis
 
 
-def solve(m: Sequence[Sequence], b: Sequence, tol=None) -> Optional[tuple]:
+def solve(m: Sequence[Sequence], b: Sequence) -> Optional[tuple]:
     """One solution of m x = b, or None if inconsistent."""
     rows = len(m)
     cols = len(m[0]) if rows else 0
     aug = [list(m[i]) + [b[i]] for i in range(rows)]
-    r, piv = rref(aug, tol)
+    r, piv = rref(aug)
     if cols in piv:
         return None
     x = [Fraction(0)] * cols
@@ -314,10 +314,10 @@ def solve(m: Sequence[Sequence], b: Sequence, tol=None) -> Optional[tuple]:
     return tuple(x)
 
 
-def inverse(m: Sequence[Sequence], tol=None) -> Mat:
+def inverse(m: Sequence[Sequence]) -> Mat:
     n = len(m)
     aug = [list(m[i]) + [int(i == j) for j in range(n)] for i in range(n)]
-    r, piv = rref(aug, tol)
+    r, piv = rref(aug)
     if piv != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     return [row[n:] for row in r]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import mul
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 MAX_HEIGHT = 64  # E8's highest root has height 29; anything deeper is not finite type
 

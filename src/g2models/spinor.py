@@ -20,11 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .derivations import DerivationAlgebra
 from .linalg import mat_mul, nullspace
-from .octonions import (DIVISION, SPLIT, CrossProductSpace, NotUnitNorm, Octonion,
+from .octonions import (DIVISION, SPLIT, CrossProductSpace, Octonion,
                         basis_vec, factor_unit, left_mult_matrix)
 
 Q0 = Fraction(0)

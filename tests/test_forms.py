@@ -253,6 +253,60 @@ def generic_forms(draw):
     return fo.transform(g, rep), tag
 
 
+# -- transform: the integer contraction against evaluate -------------------------
+
+def _transform_by_evaluate(g, a):
+    """X .. -> a(gX, ..) one coefficient at a time through KForm.evaluate: the
+    reference for the integer contraction."""
+    cols = [[g[r][c] for r in range(7)] for c in range(7)]
+    out = {}
+    for idx in itertools.combinations(range(1, 8), a.degree):
+        val = a.evaluate([cols[i - 1] for i in idx])
+        if val:
+            out[idx] = Fraction(val)
+    return fo.KForm(a.degree, out)
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational 7x7 matrices with a denominator above 1, singular in about half the draws."""
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    g = draw(st.lists(st.lists(entry, min_size=7, max_size=7), min_size=7, max_size=7))
+    g[0][0] += Q(1, 7)
+    if draw(st.booleans()):
+        g[draw(st.integers(1, 6))] = list(g[0])
+    return g
+
+
+def zero_sparse_dense_or_tall_forms():
+    tall = st.fractions(max_denominator=10 ** 20).map(lambda x: x * 10 ** 25 + Q(1, 10 ** 18 + 9))
+    sparse = st.dictionaries(st.sampled_from(TRIPLES), coefficients, max_size=3)
+    dense = st.dictionaries(st.sampled_from(TRIPLES), coefficients, min_size=20, max_size=35)
+    tall_terms = st.dictionaries(st.sampled_from(TRIPLES), tall.filter(bool), min_size=1, max_size=12)
+    return st.one_of(st.just({}), sparse, dense, tall_terms).map(lambda t: fo.form(3, t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=zero_sparse_dense_or_tall_forms(), g=rational_matrices())
+def test_transform_equals_evaluate_reference(a, g):
+    got = fo.transform(g, a)
+    assert got == _transform_by_evaluate(g, a)
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+def test_transform_never_evaluates_and_is_for_3_forms_only(monkeypatch):
+    calls = []
+    real = fo.KForm.evaluate
+    monkeypatch.setattr(fo.KForm, "evaluate", lambda self, vectors: calls.append(1) or real(self, vectors))
+    g = rand_invertible()
+    g[2][5] = Q(-3, 4)
+    assert fo.pullback(g, fo.transform(g, fo.OMEGA1)) == fo.OMEGA1
+    assert fo.norm_from_form(fo.OMEGA0, [[g[r][c] for r in range(7)] for c in range(7)])
+    assert calls == []
+    with pytest.raises(ValueError):
+        fo.transform(g, fo.form(2, {(1, 2): 1}))
+
+
 @pytest.mark.parametrize("with_basis", [False, True])
 @settings(max_examples=2, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(a=rational_forms(max_terms=6), p=invertible())
@@ -474,6 +528,22 @@ def test_ceil_3_digits(num, den, want):
     got = fo._ceil_3_digits(num, den)
     assert f"{got:E}" == want
     assert Q(num, den) <= Q(got) < Q(101, 100) * Q(num, den)
+
+
+@pytest.mark.parametrize("rep", [fo.OMEGA0, fo.OMEGA1], ids=["split", "compact"])
+def test_witness_output_does_not_depend_on_term_order(tmp_path, rep):
+    g = [[Q(1 if i == j else 0) for j in range(7)] for i in range(7)]
+    # the split form below printed different phi digits for its reversed terms
+    # when the witness summed the terms in file order
+    g[1][2], g[3][1], g[0][3], g[6][0], g[4][2] = Q(-3, 2), Q(-6), Q(1, 3), Q(-4, 5), Q(-3, 2)
+    terms = fo.transform(g, rep).to_json()["terms"]
+    outputs = set()
+    for order in (terms, terms[::-1], random.Random(7).sample(terms, len(terms))):
+        f, out = tmp_path / "f.json", tmp_path / "o.json"
+        f.write_text(json.dumps({"dim": 7, "degree": 3, "terms": order}))
+        assert cli.main(["classify", str(f), "--witness", "--precision", "60", "--out", str(out)]) == 0
+        outputs.add(out.read_bytes())
+    assert len(outputs) == 1
 
 
 def test_witness_op_evaluates_the_form_at_most_once(tmp_path, monkeypatch):
