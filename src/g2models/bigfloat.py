@@ -1,10 +1,11 @@
-"""Arbitrary-precision decimal floats for the irrational steps of witness building.
+"""Arbitrary-precision decimal floats for the column scalars of a witness frame.
 
-All orbit classification stays rational; these floats only enter where a real
-cube root or square root is unavoidable.  A ``BigFloat`` carries its working
-precision (decimal digits, default 60) and every operation rounds in a local
-``decimal`` context, so there is no mutable global state.  Residual checks use
-the tolerance 10^(-P/2) at precision P.
+All orbit classification stays rational, and a witness frame's directions are
+exact; these floats only form the real scalars of its columns (a cube root and
+square roots) and their products with those directions.  A ``BigFloat``
+carries its working precision (decimal digits, default 60) and every operation
+rounds in a local ``decimal`` context, so there is no mutable global state.
+The witness residual gate uses the tolerance 10^(-P/2) at precision P.
 """
 
 from __future__ import annotations

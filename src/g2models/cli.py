@@ -59,7 +59,8 @@ def cmd_classify(args) -> int:
         with open(args.file) as fh:
             data = json.load(fh)
         om = fo.KForm.from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
+        # RecursionError: JSON nested deeper than the parser's recursion limit
         print(f"error: cannot parse 3-form file: {exc}", file=sys.stderr)
         return 2
     if om.degree != 3:

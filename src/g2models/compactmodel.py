@@ -49,10 +49,6 @@ def _grify(x) -> GR:
     return x if isinstance(x, GR) else GR(Fraction(x), Q0)
 
 
-def vec3c(a, b, c) -> Vec3C:
-    return (_grify(a), _grify(b), _grify(c))
-
-
 def sigma(u: Sequence[GR], v: Sequence[GR]) -> GR:
     out = GR0
     for a, b in zip(u, v):

@@ -15,10 +15,12 @@ Gram of W and one division per entry recovers the exact rational result.
 Classification is a signature computation over Q: nondegenerate Gram of
 signature {(4,3), (3,4)} means the split orbit, definite means the compact
 orbit, anything degenerate is not generic.  Scaling the Gram form by the real
-cube root of the exact rational constant alpha (from X ^ (X ^ Y) =
+cube root s of the exact rational constant alpha (from X ^ (X ^ Y) =
 alpha (n(X,Y)X - n(X)Y)) turns the wedge multiplication into a genuine cross
-product; that cube root is the only irrational step, so witnesses live in
-BigFloat while orbits stay exact.
+product.  That cube root and square roots of norms are the only irrational
+steps, so a witness frame is built as exact directions, over Q on the compact
+path and over Q(sqrt(rho)) on the split path, each times one real column
+scalar; only those scalars are BigFloat, while orbits stay exact.
 
 `analyze` builds the Gram form once per 3-form and diagonalizes it once; the
 resulting `FormAnalysis` carries the signature and the orbit, and computes
@@ -55,8 +57,8 @@ from math import floor, lcm, log10
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bigfloat import BigFloat, DEFAULT_DIGITS, real_cube_root, tolerance
-from .linalg import inverse, mat_mul, rref, sym_diagonalize
-from .scalars import fmt_q, parse_q
+from .linalg import inverse, mat_mul, nullspace, sym_diagonalize
+from .scalars import QuadraticRational, fmt_q, parse_q, sqrt_q
 
 Q0 = Fraction(0)
 Q1 = Fraction(1)
@@ -81,7 +83,7 @@ def _perm_sign(p: Sequence[int]) -> int:
 
 
 def _det_small(rows: Sequence[Sequence]) -> object:
-    """Leibniz determinant; division-free so it works over BigFloat too."""
+    """Leibniz determinant; division-free, so it works over any ring of entries."""
     k = len(rows)
     total = None
     for p in itertools.permutations(range(k)):
@@ -113,7 +115,7 @@ class KForm:
             c = Fraction(c)
             if c:
                 clean[idx] = c
-        # sorted, so that BigFloat sums over the terms do not depend on their input order
+        # sorted, so that repr, to_json, hashing and every sum over the terms do not depend on their input order
         self.coeffs = dict(sorted(clean.items()))
 
     # -- ring-ish operations ------------------------------------------------
@@ -482,32 +484,33 @@ def _wedge_table_for_gram(a: KForm, gram: Sequence[Sequence[Fraction]]) -> List[
     return [prods[7 * i:7 * i + 7] for i in range(7)]
 
 
+def _wedge_vec(tab: Sequence[Sequence[Sequence[Fraction]]], u: Sequence, v: Sequence) -> list:
+    """u ^ v for an exact wedge table; the entries of u and v are Fractions or QuadraticRationals."""
+    out = [Q0] * 7
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            s = ui * vj
+            for k, t in enumerate(tab[i][j]):
+                if t:
+                    out[k] += s * t
+    return out
+
+
 def _normalization_constant(an: FormAnalysis) -> Fraction:
     p, d = an.p, an.diag
     if any(x == 0 for x in d):
         raise ValueError("form is not generic")
     tab = an.wedge_table
-
-    def wedge_vec(u, v):
-        out = [Q0] * 7
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                s = ui * vj
-                for k in range(7):
-                    if tab[i][j][k]:
-                        out[k] += s * tab[i][j][k]
-        return out
-
     cols = [[p[r][c] for r in range(7)] for c in range(7)]
     x = cols[0]
     nx = d[0]
     alpha = None
     for y in cols[1:3]:
-        w = wedge_vec(x, wedge_vec(x, y))
+        w = _wedge_vec(tab, x, _wedge_vec(tab, x, y))
         # y is gram-orthogonal to x, so w must equal -alpha n(x) y
         k = next(i for i in range(7) if y[i])
         cand = -w[k] / (nx * y[k])
@@ -562,26 +565,6 @@ class Witness:
         }
 
 
-def _bf_bilinear(gram, u, v):
-    acc = None
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            t = ui * gram[i][j] * vj
-            acc = t if acc is None else acc + t
-    return acc
-
-
-def _bf_wedge(tab, u, v):
-    out = [None] * 7
-    for i, ui in enumerate(u):
-        for j, vj in enumerate(v):
-            s = ui * vj
-            for k in range(7):
-                t = s * tab[i][j][k]
-                out[k] = t if out[k] is None else out[k] + t
-    return [x for x in out]
-
-
 def _ceil_3_digits(num: int, den: int) -> Decimal:
     """The least m * 10^e >= num/den with 100 <= m < 1000, for num, den > 0."""
     def ceil_at(e):
@@ -625,16 +608,38 @@ def _residual_against(a: KForm, rep: KForm, cols: Sequence[Sequence[BigFloat]], 
     return BigFloat(_ceil_3_digits(worst, scale), digits)
 
 
+def _real_column(v: Sequence, mu: BigFloat, root: Optional[BigFloat]) -> List[BigFloat]:
+    """The BigFloat column mu * v of an exact direction v over Q, or over Q(sqrt(d)) with root = sqrt(d)."""
+    zero = BigFloat.of(0, mu.digits)
+    root_mu = None if root is None else root * mu
+    out = []
+    for x in v:
+        if not x:
+            out.append(zero)
+        elif type(x) is QuadraticRational:
+            out.append((x.a * mu + x.b * root_mu) / x.den)
+        else:
+            out.append(mu * x)
+    return out
+
+
 def orbit_witness(a: FormOrAnalysis, digits: int = DEFAULT_DIGITS) -> Witness:
     """Constructive change of frame onto the orbit representative.
 
-    Exactly-representative inputs short-circuit to the identity witness.  The
-    irrational steps (one real cube root, a few square roots) run in BigFloat
-    at the requested precision.  The residual max |a(phi e_i, phi e_j,
-    phi e_k) - rep_ijk| of the frame as built is then computed exactly and
-    rounded up to 3 significant digits, so `Witness.residual` bounds the true
-    residual of phi from above, by less than 1%.  It must not exceed
-    10^(-digits/2); PrecisionExhausted reports a miss.
+    Exactly-representative inputs short-circuit to the identity witness.  Each
+    column of the frame is an exact direction times one real scalar.  With
+    s = cbrt(alpha), the normalized norm is s*gram and the cross product is
+    the rational wedge table over s, so the directions are linear algebra over
+    Q (compact path: Gram-Schmidt in the exact Gram, then wedges) or over
+    Q(sqrt(rho)) (split path: the +1 eigenspace of the wedge operator of a
+    normalized direction, rho = -alpha n(x0), so over Q when rho is a rational
+    square).  Only the scalars, built from s and square roots, and their
+    products with the directions are BigFloat, at the requested precision.
+    The residual max |a(phi e_i, phi e_j, phi e_k) - rep_ijk| of the frame as
+    built is then computed exactly and rounded up to 3 significant digits, so
+    `Witness.residual` bounds the true residual of phi from above, by less
+    than 1%.  It must not exceed 10^(-digits/2); PrecisionExhausted reports a
+    miss, and nothing else raises it.
     """
     an = _analysis(a)
     a, tag = an.form, an.orbit
@@ -646,101 +651,73 @@ def orbit_witness(a: FormOrAnalysis, digits: int = DEFAULT_DIGITS) -> Witness:
     if a == OMEGA1:
         return Witness(ident, OrbitTag.COMPACT, BigFloat.of(0, digits), digits)
 
-    gram, p, d = an.gram, an.p, an.diag
-    alpha = an.alpha
+    p, d, alpha, tab = an.p, an.diag, an.alpha, an.wedge_table
     s = real_cube_root(alpha, digits)
-    tol = tolerance(digits)
-
-    tab_q = an.wedge_table
-    inv_s = BigFloat.of(1, digits) / s
-    tab = [[[inv_s * BigFloat.of(tab_q[i][j][k], digits) for k in range(7)] for j in range(7)]
-           for i in range(7)]
-    ngram = [[s * BigFloat.of(gram[i][j], digits) for j in range(7)] for i in range(7)]
-    cols_p = [[Fraction(p[r][c]) for r in range(7)] for c in range(7)]
-
-    def bwedge(u, v):
-        return _bf_wedge(tab, u, v)
-
-    def nb(u, v):
-        return _bf_bilinear(ngram, u, v)
+    inv_s = 1 / s
+    cols_p = [[p[r][c] for r in range(7)] for c in range(7)]
+    basis = [[Q1 if r == j else Q0 for r in range(7)] for j in range(7)]
+    root = None
 
     if tag is OrbitTag.SPLIT:
+        # x = x0 / sqrt(-s n(x0)) has the wedge operator L_x = c M, M the columns x0 ^ e_j
         idx0 = next(i for i in range(7) if d[i] != 0 and (d[i] > 0) == (alpha < 0))
-        x0 = [BigFloat.of(v, digits) for v in cols_p[idx0]]
-        scale = (-nb(x0, x0)).sqrt()
-        x = [v / scale for v in x0]
-        fhat = [[None] * 7 for _ in range(7)]
-        for j in range(7):
-            ej = [BigFloat.of(1 if r == j else 0, digits) for r in range(7)]
-            col = bwedge(x, ej)
-            for r in range(7):
-                fhat[r][j] = col[r]
-        for r in range(7):
-            fhat[r][r] = fhat[r][r] - BigFloat.of(1, digits)
-        null = _bf_nullspace(rref(fhat, tol=tol), digits)
+        x0, dd = cols_p[idx0], d[idx0]
+        c = (1 if alpha > 0 else -1) / sqrt_q(-alpha * dd)
+        if type(c) is QuadraticRational:
+            root = BigFloat.of(c.d, digits).sqrt()
+        m = [_wedge_vec(tab, x0, e) for e in basis]
+        null = nullspace([[c * m[j][r] - basis[j][r] for j in range(7)] for r in range(7)])
         if len(null) != 3:
-            raise PrecisionExhausted(f"plus-eigenspace dimension {len(null)} at {digits} digits")
-        y1, y2, y3 = null
-        t = BigFloat.of(a.evaluate([y1, y2, y3]), digits)
-        if abs(t) <= tol:
-            raise PrecisionExhausted("top form degenerates on the plus-eigenspace")
-        y1 = [v * (BigFloat.of(-4, digits) / t) for v in y1]
-        ys = [y1, y2, y3]
-        zs = [[v * BigFloat.of(Fraction(1, 2), digits) for v in bwedge(ys[(i + 1) % 3], ys[(i + 2) % 3])]
-              for i in range(3)]
-        cols = [x, ys[0], ys[1], ys[2], zs[0], zs[1], zs[2]]
+            raise AssertionError(f"plus-eigenspace of dimension {len(null)}; the form cannot be split")
+        t = a.evaluate(null)
+        if not t:
+            raise AssertionError("top form vanishes on the plus-eigenspace; the form cannot be split")
+        ys = [[v * (-4 / t) for v in null[0]], null[1], null[2]]
+        zs = [[v / 2 for v in _wedge_vec(tab, ys[(i + 1) % 3], ys[(i + 2) % 3])] for i in range(3)]
+        one = BigFloat.of(1, digits)
+        frame = [(x0, 1 / (-(s * dd)).sqrt())] + [(y, one) for y in ys] + [(z, inv_s) for z in zs]
         rep = OMEGA0
     else:
-        idx0 = 0
-        x0 = [BigFloat.of(v, digits) for v in cols_p[idx0]]
-        scale = nb(x0, x0)
-        if scale <= tol:
-            raise PrecisionExhausted("no positive direction found")
-        x = [v / scale.sqrt() for v in x0]
+        gram = an.gram
 
-        def ortho_unit(cands, fixed):
-            for cand in cands:
-                u = [BigFloat.of(v, digits) for v in cand]
-                for f in fixed:
-                    c = nb(u, f)
-                    u = [a_ - c * b_ for a_, b_ in zip(u, f)]
-                nu = nb(u, u)
-                if tol < nu:
-                    r = nu.sqrt()
-                    return [v / r for v in u]
-            raise PrecisionExhausted("orthonormal frame construction stalled")
+        def bil(u, v):
+            return sum(ui * sum(g * vj for g, vj in zip(row, v) if vj) for ui, row in zip(u, gram) if ui)
 
-        cands = cols_p[1:] + [tuple(Q1 if r == j else Q0 for r in range(7)) for j in range(7)]
-        x1 = ortho_unit(cands, [x])
-        fy1 = bwedge(x, x1)
-        x2 = ortho_unit(cands, [x, x1, fy1])
-        fy2 = bwedge(x, x2)
-        x3 = bwedge(x1, x2)
-        fy3 = bwedge(x, x3)
-        cols = [x1, x2, x3, fy1, fy2, fy3, x]
+        def ortho(fixed):
+            # G(u, v_f) / G(v_f, v_f) v_f is the projection onto the unit s-normalized f = mu_f v_f
+            for cand in cols_p[1:] + basis:
+                u = list(cand)
+                for f, gff in fixed:
+                    k = bil(u, f) / gff
+                    if k:
+                        u = [x - k * y for x, y in zip(u, f)]
+                if any(u):
+                    return u
+            raise AssertionError("Gram-Schmidt stalled; the form cannot be compact")
+
+        def mu(v):
+            return 1 / (s * bil(v, v)).sqrt()
+
+        v0 = cols_p[0]
+        if (d[0] > 0) != (alpha > 0):
+            raise AssertionError("no positive direction; the form cannot be compact")
+        v1 = ortho([(v0, d[0])])
+        vf1 = _wedge_vec(tab, v0, v1)
+        v2 = ortho([(v0, d[0]), (v1, bil(v1, v1)), (vf1, bil(vf1, vf1))])
+        vx3 = _wedge_vec(tab, v1, v2)
+        m0, m1, m2 = mu(v0), mu(v1), mu(v2)
+        mx3 = m1 * m2 * inv_s
+        frame = [(v1, m1), (v2, m2), (vx3, mx3), (vf1, m0 * m1 * inv_s),
+                 (_wedge_vec(tab, v0, v2), m0 * m2 * inv_s), (_wedge_vec(tab, v0, vx3), m0 * mx3 * inv_s),
+                 (v0, m0)]
         rep = OMEGA1
 
+    cols = [_real_column(v, scalar, root) for v, scalar in frame]
     res = _residual_against(a, rep, cols, digits)
     if tolerance(digits) < res:
         raise PrecisionExhausted(f"residual {res.val:E} exceeds tolerance at {digits} digits")
     phi = tuple(tuple(cols[c][r] for c in range(7)) for r in range(7))
     return Witness(phi, tag, res, digits)
-
-
-def _bf_nullspace(rref_result, digits: int) -> List[List[BigFloat]]:
-    r, piv = rref_result
-    cols = 7
-    piv_set = set(piv)
-    basis = []
-    for free in range(cols):
-        if free in piv_set:
-            continue
-        v = [BigFloat.of(0, digits)] * cols
-        v[free] = BigFloat.of(1, digits)
-        for row_idx, pc in enumerate(piv):
-            v[pc] = -r[row_idx][free]
-        basis.append(v)
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -789,8 +766,6 @@ def f_operator_matrix(a: KForm = OMEGA1) -> List[List[Fraction]]:
 
 def f_operator_spectrum(a: KForm = OMEGA1) -> Dict[Fraction, List[Tuple[Fraction, ...]]]:
     """Exact eigenspaces of F: +1 with multiplicity 14 and -2 with multiplicity 7."""
-    from .linalg import nullspace
-
     m = f_operator_matrix(a)
     out: Dict[Fraction, List[Tuple[Fraction, ...]]] = {}
     for lam in (Q1, Fraction(-2)):

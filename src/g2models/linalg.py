@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over Q, Q(i), or BigFloat entries.
+"""Dense exact linear algebra over Q, Q(i) or Q(sqrt(d)).
 
 Matrices are lists of lists; vectors are tuples.  Everything is small (at most
 a few hundred rows).  Over Q the kernels compute in integers: each row (for a
@@ -15,12 +15,11 @@ Type rule for Q inputs: no float is ever produced.  ``mat_mul`` and
 every output entry is a Fraction, and ``rref``, ``nullspace``, ``solve``,
 ``inverse`` and ``det`` always return Fractions.
 
-Matrices with Gaussian-rational or BigFloat entries, or an ``rref`` call with
-a pivot tolerance, take the generic field path: Gauss-Jordan elimination that
-divides at every pivot.  Equality of exact matrices is entrywise.  A pivot
-tolerance is accepted by ``rref`` only; BigFloat matrices need one, and with
-it partial pivoting kicks in.  Exact fields use the first nonzero pivot so
-reduced echelon bases are reproducible.
+Matrices with ``GaussianRational`` or ``QuadraticRational`` entries take the
+generic field path: Gauss-Jordan elimination that divides at every pivot.
+Every kernel is exact, so there is no pivot tolerance and no floating-point
+matrix: the pivot of a column is its first nonzero entry on either path, and
+reduced echelon bases are canonical.  Equality of matrices is entrywise.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 Row = List
 Mat = List[Row]
@@ -57,13 +56,9 @@ def identity(n: int) -> Mat:
     return m
 
 
-def copy_mat(m: Sequence[Sequence]) -> Mat:
-    return [list(row) for row in m]
-
-
 def _promote(m: Sequence[Sequence]) -> Mat:
     # plain ints are promoted so that pivot division stays exact; any other
-    # entry type (Fraction, GaussianRational, BigFloat) is kept as is
+    # entry type (Fraction, GaussianRational, QuadraticRational) is kept as is
     return [[Fraction(x) if type(x) is int else x for x in row] for row in m]
 
 
@@ -129,22 +124,6 @@ def mat_sub(a, b) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(c, m) -> Mat:
-    return [[c * x for x in row] for row in m]
-
-
-def mat_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def is_zero_mat(m) -> bool:
-    return all(not x for row in m for x in row)
-
-
-def _default_is_zero(x) -> bool:
-    return not x
-
-
 def _fraction_free(a: List[Sequence[int]]) -> Tuple[List[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of an integer matrix, in place.
 
@@ -201,19 +180,15 @@ def _fraction_free(a: List[Sequence[int]]) -> Tuple[List[int], int, int]:
     return piv_cols, sign, prev
 
 
-def _field_eliminate(a: Mat, tol=None) -> Tuple[List[int], int, object]:
+def _field_eliminate(a: Mat) -> Tuple[List[int], int, object]:
     """Gauss-Jordan elimination over a field, in place: the generic path.
 
-    With ``tol`` set (BigFloat matrices), entries of magnitude <= tol are
-    treated as zero and rows are pivoted by largest magnitude for stability.
-    Returns (pivot columns, sign of the row permutation, product of pivots).
+    The pivot of each column is its first nonzero entry, rows in order, as in
+    ``_fraction_free``.  Returns (pivot columns, sign of the row permutation,
+    product of pivots).
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if tol is None:
-        is_zero: Callable = _default_is_zero
-    else:
-        is_zero = lambda x: abs(x) <= tol  # noqa: E731
     piv_cols: List[int] = []
     sign = 1
     pivots = Fraction(1)
@@ -221,17 +196,7 @@ def _field_eliminate(a: Mat, tol=None) -> Tuple[List[int], int, object]:
     for c in range(cols):
         if r == rows:
             break
-        best = None
-        if tol is None:
-            for i in range(r, rows):
-                if not is_zero(a[i][c]):
-                    best = i
-                    break
-        else:
-            mags = [(abs(a[i][c]), i) for i in range(r, rows)]
-            mag, i = max(mags, key=lambda t: (t[0], -t[1]))
-            if not is_zero(mag):
-                best = i
+        best = next((i for i in range(r, rows) if a[i][c]), None)
         if best is None:
             continue
         if best != r:
@@ -241,7 +206,7 @@ def _field_eliminate(a: Mat, tol=None) -> Tuple[List[int], int, object]:
         pivots = pivots * p
         a[r] = [x / p for x in a[r]]
         for i in range(rows):
-            if i != r and not is_zero(a[i][c]):
+            if i != r and a[i][c]:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         piv_cols.append(c)
@@ -249,16 +214,12 @@ def _field_eliminate(a: Mat, tol=None) -> Tuple[List[int], int, object]:
     return piv_cols, sign, pivots
 
 
-def rref(m: Sequence[Sequence], tol=None) -> Tuple[Mat, List[int]]:
-    """Reduced row echelon form.  Returns (R, pivot column list).
-
-    With ``tol`` set (BigFloat matrices), entries of magnitude <= tol are
-    treated as zero and rows are pivoted by largest magnitude for stability.
-    """
-    q = _scaled_rows(m) if tol is None else None
+def rref(m: Sequence[Sequence]) -> Tuple[Mat, List[int]]:
+    """Reduced row echelon form.  Returns (R, pivot column list)."""
+    q = _scaled_rows(m)
     if q is None:
         a = _promote(m)
-        return a, _field_eliminate(a, tol)[0]
+        return a, _field_eliminate(a)[0]
     a = q[0]
     piv_cols = _fraction_free(a)[0]
     cols = len(a[0]) if a else 0

@@ -47,13 +47,6 @@ def _tighten(x: Fraction):
     return int(x) if x.denominator == 1 else x
 
 
-def vec7(*coords) -> Vec7:
-    v = tuple(Fraction(x) for x in coords)
-    if len(v) != 7:
-        raise ValueError("need 7 coordinates")
-    return v
-
-
 def vec_to_json(v: Sequence) -> List[str]:
     """7-vectors serialize as arrays of rational strings."""
     from .scalars import fmt_q

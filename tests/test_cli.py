@@ -105,6 +105,7 @@ def test_classify_parse_error_exit_2(tmp_path):
                  "not a list of integers", id="bool-idx"),
     pytest.param({"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "c": "1e999999999"}]},
                  "exponent notation", id="exponent-coefficient"),
+    pytest.param("[" * 100000 + "]" * 100000, "maximum recursion depth", id="deep-nesting"),
 ])
 def test_classify_malformed_form_exit_2(tmp_path, payload, reason):
     p = tmp_path / "bad.json"

@@ -10,8 +10,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from g2models import cli
 from g2models import forms as fo
 from g2models import octonions as oc
-from g2models.bigfloat import BigFloat, tolerance
+from g2models.bigfloat import BigFloat, real_cube_root, tolerance
 from g2models.linalg import det, inverse, mat_mul, mat_vec, transpose
+from g2models.scalars import sqrt_q
 
 Q = Fraction
 rng = random.Random(20240809)
@@ -518,6 +519,128 @@ def test_printed_residual_bounds_the_exact_residual_within_1_percent(ga, digits)
     printed = Q(Decimal(w["residual"]))
     assert exact <= printed <= Q(101, 100) * exact
     assert printed <= Q(1, 10 ** (digits // 2))
+
+
+# -- the exact frame against the BigFloat frame it replaced ------------------------
+
+def _bf_rref(m, tol):
+    """Gauss-Jordan with partial pivoting, magnitudes <= tol taken as 0: the old BigFloat rref."""
+    a = [list(row) for row in m]
+    piv, r = [], 0
+    for c in range(len(a[0])):
+        if r == len(a):
+            break
+        mag, best = max(((abs(a[i][c]), i) for i in range(r, len(a))), key=lambda t: (t[0], -t[1]))
+        if mag <= tol:
+            continue
+        a[r], a[best] = a[best], a[r]
+        p = a[r][c]
+        a[r] = [x / p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and not abs(a[i][c]) <= tol:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        piv.append(c)
+        r += 1
+    return a, piv
+
+
+def _bigfloat_frame(a, digits):
+    """The witness frame phi (rows) as `orbit_witness` built it entirely in BigFloat,
+    with a BigFloat wedge table, Gram form and rref: the reference for the exact frame."""
+    an = fo.analyze(a)
+    gram, p, d, alpha, tab_q = an.gram, an.p, an.diag, an.alpha, an.wedge_table
+    s = real_cube_root(alpha, digits)
+    tol = tolerance(digits)
+
+    def bf(x):
+        return BigFloat.of(x, digits)
+
+    inv_s = bf(1) / s
+    tab = [[[inv_s * bf(tab_q[i][j][k]) for k in range(7)] for j in range(7)] for i in range(7)]
+    ngram = [[s * bf(gram[i][j]) for j in range(7)] for i in range(7)]
+    cols_p = [[Q(p[r][c]) for r in range(7)] for c in range(7)]
+
+    def wedge(u, v):
+        return [sum((u[i] * v[j] * tab[i][j][k] for i in range(7) for j in range(7)), bf(0)) for k in range(7)]
+
+    def nb(u, v):
+        return sum((u[i] * ngram[i][j] * v[j] for i in range(7) for j in range(7)), bf(0))
+
+    if an.orbit is fo.OrbitTag.SPLIT:
+        idx0 = next(i for i in range(7) if d[i] != 0 and (d[i] > 0) == (alpha < 0))
+        x0 = [bf(v) for v in cols_p[idx0]]
+        scale = (-nb(x0, x0)).sqrt()
+        x = [v / scale for v in x0]
+        fhat = [[bf(0)] * 7 for _ in range(7)]
+        for j in range(7):
+            col = wedge(x, [bf(1 if r == j else 0) for r in range(7)])
+            for r in range(7):
+                fhat[r][j] = col[r] - (1 if r == j else 0)
+        red, piv = _bf_rref(fhat, tol)
+        null = []
+        for free in (c for c in range(7) if c not in piv):
+            v = [bf(0)] * 7
+            v[free] = bf(1)
+            for row, pc in enumerate(piv):
+                v[pc] = -red[row][free]
+            null.append(v)
+        assert len(null) == 3
+        t = bf(a.evaluate(null))
+        ys = [[v * (bf(-4) / t) for v in null[0]], null[1], null[2]]
+        zs = [[v * bf(Q(1, 2)) for v in wedge(ys[(i + 1) % 3], ys[(i + 2) % 3])] for i in range(3)]
+        cols = [x] + ys + zs
+    else:
+        x0 = [bf(v) for v in cols_p[0]]
+        x = [v / nb(x0, x0).sqrt() for v in x0]
+
+        def ortho_unit(fixed):
+            for cand in cols_p[1:] + [basis_vec(j) for j in range(7)]:
+                u = [bf(v) for v in cand]
+                for f in fixed:
+                    c = nb(u, f)
+                    u = [a_ - c * b_ for a_, b_ in zip(u, f)]
+                nu = nb(u, u)
+                if tol < nu:
+                    return [v / nu.sqrt() for v in u]
+            raise AssertionError("stalled")
+
+        x1 = ortho_unit([x])
+        fy1 = wedge(x, x1)
+        x2 = ortho_unit([x, x1, fy1])
+        x3 = wedge(x1, x2)
+        cols = [x1, x2, x3, fy1, wedge(x, x2), wedge(x, x3), x]
+    return [[cols[c][r] for c in range(7)] for r in range(7)]
+
+
+def _rho_is_square(a):
+    an = fo.analyze(a)
+    d, alpha = an.diag, an.alpha
+    dd = next(x for x in d if (x > 0) == (alpha < 0))
+    return type(sqrt_q(-alpha * dd)) is Q
+
+
+def _differential_forms(kind):
+    """Pulled-back split forms whose rho is or is not a rational square, or compact forms."""
+    if kind == "compact":
+        return generic_forms().filter(lambda ga: ga[1] is fo.OrbitTag.COMPACT).map(lambda ga: ga[0])
+    split = st.one_of(unimodular(), invertible(st.fractions(min_value=-2, max_value=2, max_denominator=3)))
+    want = kind == "split-square"
+    return split.map(lambda g: fo.transform(g, fo.OMEGA0)).filter(lambda a: _rho_is_square(a) == want)
+
+
+@pytest.mark.parametrize("kind", ["split-square", "split-nonsquare", "compact"])
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(data=st.data(), digits=st.integers(10, 200))
+def test_exact_frame_equals_bigfloat_reference(kind, data, digits):
+    a = data.draw(_differential_forms(kind))
+    w = fo.orbit_witness(a, digits)
+    assert w.target is fo.classify_orbit(a)
+    ref = _bigfloat_frame(a, digits)
+    new = [[Q(x.val) for x in row] for row in w.phi]
+    old = [[Q(x.val) for x in row] for row in ref]
+    top = max(abs(x) for row in new for x in row)
+    assert max(abs(x - y) for rn, ro in zip(new, old) for x, y in zip(rn, ro)) <= top / 10 ** digits
 
 
 @pytest.mark.parametrize("num, den, want", [

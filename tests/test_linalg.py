@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 import sympy
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from g2models import linalg as la
 from g2models import octonions as oc
 from g2models.bigfloat import BigFloat, real_cube_root, tolerance
-from g2models.scalars import GaussianRational as GR, fmt_q, parse_q
+from g2models.scalars import GaussianRational as GR, QuadraticRational as QR, fmt_q, parse_q, sqrt_q
 from g2models.splitmodel import _l_of
 
 Q = Fraction
@@ -119,6 +120,97 @@ def test_gaussian_rational_field():
     assert x.conjugate().conjugate() == x
     assert (x + i) - i == x
     assert GR.from_json(x.to_json()) == x
+
+
+# -- Q(sqrt(d)) against a Fraction-pair reference ---------------------------------
+
+class _PairRef:
+    """x + y sqrt(d) as two Fractions: the reference for QuadraticRational."""
+
+    def __init__(self, x, y, d):
+        self.x, self.y, self.d = Q(x), Q(y), d
+
+    def __add__(self, o):
+        return _PairRef(self.x + o.x, self.y + o.y, self.d)
+
+    def __sub__(self, o):
+        return _PairRef(self.x - o.x, self.y - o.y, self.d)
+
+    def __mul__(self, o):
+        return _PairRef(self.x * o.x + self.y * o.y * self.d, self.x * o.y + self.y * o.x, self.d)
+
+    def inverse(self):
+        n = self.x * self.x - self.y * self.y * self.d
+        return _PairRef(self.x / n, -self.y / n, self.d)
+
+    def pair(self):
+        return self.x, self.y
+
+
+def _pair(z):
+    if isinstance(z, QR):
+        return Q(z.a, z.den), Q(z.b, z.den)
+    return Q(z), Q(0)
+
+
+non_squares = st.sampled_from([2, 3, 5, 6, 12, 2 * 10 ** 40 + 1])
+quad_parts = st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 30))
+rational_operands = st.one_of(st.integers(-20, 20), small_fracs)
+
+
+@st.composite
+def quad_triples(draw):
+    d = draw(non_squares)
+    return d, [QR(a, b, den, d) for a, b, den in draw(st.lists(quad_parts, min_size=3, max_size=3))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_triples())
+def test_quadratic_rational_field_axioms(dx):
+    d, (x, y, z) = dx
+    zero, one = QR(0, 0, 1, d), QR(1, 0, 1, d)
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x and x - x == 0 and not (x - x)
+    assert x + -x == zero and -(-x) == x
+    if x:
+        assert x * (1 / x) == 1 and x / x == one and (y / x) * x == y
+    else:
+        with pytest.raises(ZeroDivisionError):
+            y / x
+
+
+@settings(max_examples=150, deadline=None)
+@given(quad_triples(), rational_operands)
+def test_quadratic_rational_equals_fraction_pair_reference(dx, r):
+    d, (x, y, _) = dx
+    rx, ry = _PairRef(*_pair(x), d), _PairRef(*_pair(y), d)
+    rr = _PairRef(r, 0, d)
+    assert _pair(x + y) == (rx + ry).pair() and _pair(x - y) == (rx - ry).pair()
+    assert _pair(x * y) == (rx * ry).pair()
+    assert _pair(x + r) == _pair(r + x) == (rx + rr).pair()
+    assert _pair(x - r) == (rx - rr).pair() and _pair(r - x) == (rr - rx).pair()
+    assert _pair(x * r) == _pair(r * x) == (rx * rr).pair()
+    assert (x == r) == (rx.pair() == rr.pair())
+    if y:
+        assert _pair(x / y) == (rx * ry.inverse()).pair()
+        assert _pair(r / y) == (rr * ry.inverse()).pair()
+    if r:
+        assert _pair(x / r) == (rx * rr.inverse()).pair()
+    # equal elements have equal parts, over a positive denominator
+    back, scaled = (x + y) - y, QR(-2 * x.a, -2 * x.b, -2 * x.den, d)
+    assert (back.a, back.b, back.den) == (scaled.a, scaled.b, scaled.den) == (x.a, x.b, x.den)
+
+
+@pytest.mark.parametrize("x", [Q(2), Q(3, 5), Q(1, 12), Q(10 ** 30 + 7, 3), Q(49, 9), Q(18, 8), Q(1)])
+def test_sqrt_q_is_exact(x):
+    r = sqrt_q(x)
+    assert r * r == x
+    square = x.numerator * x.denominator == isqrt(x.numerator * x.denominator) ** 2
+    assert type(r) is (Q if square else QR)
+    if not square:
+        assert r.a == 0 and r.b > 0
 
 
 def test_rational_serialization():
@@ -289,7 +381,7 @@ def test_oct_mul_coeffs_equals_plain_sum(kind, x, y):
     _assert_types(got, fraction=True)
 
 
-def test_generic_field_path_for_gaussian_and_bigfloat_entries():
+def test_generic_field_path_for_gaussian_and_quadratic_entries():
     i = GR(Q(0), Q(1))
     m = [[GR(Q(1)), i], [i, GR(Q(2))]]
     assert la.det(m) == 3
@@ -297,6 +389,12 @@ def test_generic_field_path_for_gaussian_and_bigfloat_entries():
     inv = la.inverse(m)
     assert la.mat_mul(m, inv) == [[1, 0], [0, 1]]
     assert la.mat_vec(m, (i, GR(Q(1)))) == (2 * i, GR(Q(1)))
-    bf = [[BigFloat.of(2), BigFloat.of(1)], [BigFloat.of(4), BigFloat.of(2)]]
-    r, piv = la.rref(bf, tol=tolerance())
-    assert piv == [0] and all(isinstance(x, BigFloat) for row in r for x in row)
+    r = sqrt_q(Q(2))
+    singular = [[r, Q(2)], [Q(1), r]]
+    red, piv = la.rref(singular)
+    assert piv == [0] and red[0] == [1, r] and red[1] == [0, 0]
+    assert all(isinstance(x, QR) for row in red for x in row)
+    assert la.nullspace(singular) == [(-r, Q(1))]
+    m = [[r, Q(1)], [Q(1), r]]
+    assert la.det(m) == 1
+    assert la.mat_mul(m, la.inverse(m)) == [[1, 0], [0, 1]]
